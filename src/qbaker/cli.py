@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +22,7 @@ from .analysis import (
     position_support,
 )
 from .bakermap import (
+    DENSE_CAP_N,
     apply_baker_last,
     apply_baker_fast,
     baker_composed,
@@ -38,10 +38,11 @@ from .qfourier import (
     dot_state_product,
     dot_state_transform,
     partial_transform,
+    random_product_state,
+    random_state,
 )
-from .verify import DEFAULT_SEED, random_product_state, random_state, run_all
+from .verify import DEFAULT_SEED, best_time, run_all
 
-DENSE_CAP = 12
 FAST_CAP = 20
 
 
@@ -64,8 +65,8 @@ def _parse_label(parser: argparse.ArgumentParser, text: str) -> DotLabel:
 
 
 def _target_matrix(parser, target: str, N: int, n: int | None) -> np.ndarray:
-    if N > DENSE_CAP:
-        parser.error(f"dense commands are capped at N={DENSE_CAP}, got N={N}")
+    if N > DENSE_CAP_N:
+        parser.error(f"dense commands are capped at N={DENSE_CAP_N}, got N={N}")
     dims = Dimensions(N)
     if target == "G":
         if n is None:
@@ -133,11 +134,16 @@ def _read_state_file(parser, path: str) -> StateVector:
         parts = row.split(",")
         if len(parts) != 3:
             parser.error(f"state file rows must be 'index,re,im', got {row!r}")
-        amps_by_index[int(parts[0])] = float(parts[1]) + 1j * float(parts[2])
+        try:
+            amps_by_index[int(parts[0])] = float(parts[1]) + 1j * float(parts[2])
+        except ValueError:
+            parser.error(f"state file rows must be 'integer,real,real', got {row!r}")
     size = len(amps_by_index)
     if size < 2 or size & (size - 1) or set(amps_by_index) != set(range(size)):
         parser.error("state file must list every index 0..2^N-1 exactly once")
     amps = np.array([amps_by_index[j] for j in range(size)])
+    if not np.isfinite(amps).all():
+        parser.error("state file has non-finite amplitudes")
     norm = np.linalg.norm(amps)
     if abs(norm - 1.0) > 1e-8:
         parser.error(f"input state is not normalized: |norm-1| = {abs(norm - 1.0):.3e}")
@@ -245,8 +251,8 @@ def _gate_record(gate) -> dict:
 
 
 def cmd_circuit(args, parser) -> int:
-    if args.N > DENSE_CAP:
-        parser.error(f"circuit lowering is capped at N={DENSE_CAP}, got N={args.N}")
+    if args.N > DENSE_CAP_N:
+        parser.error(f"circuit lowering is capped at N={DENSE_CAP_N}, got N={args.N}")
     if not 1 <= args.n <= args.N:
         parser.error(f"--n must lie in [1, {args.N}]")
     gl = emit_circuit(Dimensions(args.N), args.n)
@@ -283,6 +289,8 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_bench(args, parser) -> int:
+    if args.reps < 1:
+        parser.error("--reps must be at least 1")
     rng = np.random.default_rng(args.seed)
     lines = [f"# seed={args.seed}", "N,n,dense_ms,fast_ms,speedup,max_abs_err"]
     for N in args.N:
@@ -291,12 +299,10 @@ def cmd_bench(args, parser) -> int:
         n = min(args.n, N)
         state = random_state(N, rng)
         apply_baker_fast(state, n)  # warm caches before timing
-        fast_t = min(
-            _timed(lambda: apply_baker_fast(state, n)) for _ in range(args.reps)
-        )
-        if N <= DENSE_CAP:
+        fast_t = best_time(lambda: apply_baker_fast(state, n), args.reps)
+        if N <= DENSE_CAP_N:
             dense = baker_composed(Dimensions(N), n)
-            dense_t = min(_timed(lambda: dense @ state.amps) for _ in range(args.reps))
+            dense_t = best_time(lambda: dense @ state.amps, args.reps)
             err = float(np.abs(apply_baker_fast(state, n).amps - dense @ state.amps).max())
             lines.append(
                 f"{N},{n},{_fmt(dense_t * 1e3)},{_fmt(fast_t * 1e3)},"
@@ -306,12 +312,6 @@ def cmd_bench(args, parser) -> int:
             lines.append(f"{N},{n},,{_fmt(fast_t * 1e3)},,")
     _write("\n".join(lines) + "\n", args.out)
     return 0
-
-
-def _timed(fn) -> float:
-    t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
 
 
 def build_parser() -> argparse.ArgumentParser:

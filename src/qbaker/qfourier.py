@@ -15,7 +15,8 @@ For fast application the kernel is factorized as
 
 where W_M is the ordinary DFT with kernel exp(+2 pi i x a / M)/sqrt(M).  The
 diagonals split into single-qubit phases (x is a sum of bit-weighted powers of
-two), and W_M runs as radix-2 butterflies, so one apply costs O(D*(N-n)).
+two), and W_M is numpy's FFT along the last axis (np.fft.ifft with
+norm="ortho"; np.fft.fft for the inverse), so one apply costs O(D*(N-n)).
 The same factorization drives the gate-level lowering in the circuit module.
 
 Dense matrices are plain complex ndarrays; states are thin immutable wrappers
@@ -56,11 +57,14 @@ class StateVector:
 
 
 def statevector(amps: np.ndarray) -> StateVector:
-    """Validating constructor: length 2^N and unit norm within NORM_TOL."""
+    """Validating constructor: length 2^N, finite amplitudes, and unit norm
+    within NORM_TOL."""
     arr = np.asarray(amps, dtype=np.complex128).ravel()
     N = int(arr.size).bit_length() - 1
     if arr.size < 2 or arr.size != (1 << N):
         raise ValueError(f"amplitude vector length {arr.size} is not a power of two >= 2")
+    if not np.isfinite(arr).all():
+        raise ValueError("state has non-finite amplitudes")
     norm = np.linalg.norm(arr)
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
@@ -74,6 +78,21 @@ def basis_state(N: int, j: int) -> StateVector:
         raise IndexError(f"basis index {j} out of range [0, {dims.D})")
     amps = np.zeros(dims.D, dtype=np.complex128)
     amps[j] = 1.0
+    return StateVector(N=N, amps=amps)
+
+
+def random_state(N: int, rng: np.random.Generator) -> StateVector:
+    """Haar-random state: normalized complex Gaussian amplitudes."""
+    amps = rng.standard_normal(1 << N) + 1j * rng.standard_normal(1 << N)
+    return StateVector(N=N, amps=amps / np.linalg.norm(amps))
+
+
+def random_product_state(N: int, rng: np.random.Generator) -> StateVector:
+    """Random product state: one normalized complex Gaussian qubit per slot."""
+    amps = np.ones(1, dtype=np.complex128)
+    for _ in range(N):
+        qubit = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        amps = np.kron(amps, qubit / np.linalg.norm(qubit))
     return StateVector(N=N, amps=amps)
 
 
@@ -118,39 +137,6 @@ def partial_transform(dims: Dimensions, n: int) -> np.ndarray:
     return np.kron(np.eye(1 << n), antiperiodic_dft(1 << (dims.N - n)))
 
 
-@functools.lru_cache(maxsize=None)
-def _bit_reversal(m: int) -> np.ndarray:
-    """Bit-reversal permutation of [0, 2^m), vectorized over the index array."""
-    idx = np.arange(1 << m, dtype=np.intp)
-    rev = np.zeros_like(idx)
-    for _ in range(m):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    rev.setflags(write=False)
-    return rev
-
-
-def _dft_pow2(block: np.ndarray, sign: int) -> np.ndarray:
-    """Unnormalized DFT with kernel exp(sign * 2 pi i * x * a / M) along the
-    last axis (M a power of two), as iterative radix-2 butterflies."""
-    M = block.shape[-1]
-    if M == 1:
-        return block.copy()
-    m = M.bit_length() - 1
-    out = np.ascontiguousarray(block[..., _bit_reversal(m)])
-    size = 2
-    while size <= M:
-        half = size // 2
-        tw = np.exp(sign * 2j * np.pi * np.arange(half) / size)
-        shaped = out.reshape(out.shape[:-1] + (M // size, size))
-        lo = shaped[..., :half]
-        hi = shaped[..., half:] * tw
-        shaped[..., half:] = lo - hi
-        shaped[..., :half] += hi
-        size *= 2
-    return out
-
-
 def apply_partial_transform(
     state: StateVector, n: int, direction: str = "forward"
 ) -> StateVector:
@@ -158,8 +144,9 @@ def apply_partial_transform(
 
     Matches dense multiplication by the kron-structured matrix but costs
     O(D*(N-n)): the leading n qubits index independent blocks, and the
-    antiperiodic kernel runs per block as phase ladder, radix-2 butterflies,
-    phase ladder, global phase.
+    antiperiodic kernel runs per block as phase ladder, numpy FFT of length
+    2^(N-n), phase ladder, global phase.  For n = N the block has length one
+    and the FFT is skipped.
     """
     if not 0 <= n <= state.N:
         raise ValueError(f"partial-transform index n={n} out of range [0, {state.N}]")
@@ -172,8 +159,11 @@ def apply_partial_transform(
     if direction == "inverse":
         ladder = ladder.conj()
         global_phase = global_phase.conjugate()
-    sign = +1 if direction == "forward" else -1
-    out = _dft_pow2(psi * ladder, sign) / np.sqrt(M)
+    out = psi * ladder
+    if M > 1:
+        # W_M has kernel exp(+2 pi i x a / M)/sqrt(M), which is numpy's ifft
+        dft = np.fft.ifft if direction == "forward" else np.fft.fft
+        out = dft(out, axis=-1, norm="ortho")
     out *= ladder * global_phase
     return StateVector(N=state.N, amps=out.ravel())
 

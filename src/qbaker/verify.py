@@ -38,6 +38,8 @@ from .qfourier import (
     dot_state_product,
     dot_state_transform,
     partial_transform,
+    random_product_state,
+    random_state,
     unitarity_defect,
 )
 
@@ -88,20 +90,8 @@ def _skip(name: str, needed: int, cap: int) -> CheckResult:
     )
 
 
-def random_state(N: int, rng: np.random.Generator) -> StateVector:
-    amps = rng.standard_normal(1 << N) + 1j * rng.standard_normal(1 << N)
-    return StateVector(N=N, amps=amps / np.linalg.norm(amps))
-
-
-def random_product_state(N: int, rng: np.random.Generator) -> StateVector:
-    amps = np.ones(1, dtype=np.complex128)
-    for _ in range(N):
-        qubit = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        amps = np.kron(amps, qubit / np.linalg.norm(qubit))
-    return StateVector(N=N, amps=amps)
-
-
-def _best_time(fn, reps: int = 5) -> float:
+def best_time(fn, reps: int = 5) -> float:
+    """Smallest wall time of `reps` calls of fn, in seconds."""
     best = float("inf")
     for _ in range(reps):
         t0 = time.perf_counter()
@@ -324,8 +314,8 @@ def check_fast_path(cap: int, seed: int) -> list[CheckResult]:
         dense = baker_composed(dims, 1)
         state = random_state(12, rng)
         apply_baker_fast(state, 1)  # warm caches
-        dense_t = _best_time(lambda: dense @ state.amps)
-        fast_t = _best_time(lambda: apply_baker_fast(state, 1))
+        dense_t = best_time(lambda: dense @ state.amps)
+        fast_t = best_time(lambda: apply_baker_fast(state, 1))
         err = np.abs(apply_baker_fast(state, 1).amps - dense @ state.amps).max()
         out.append(
             _min_result(

@@ -11,15 +11,12 @@ from qbaker.analysis import (
 )
 from qbaker.bakermap import apply_baker_last, baker_composed
 from qbaker.lattice import Dimensions, DotLabel, iter_labels
-from qbaker.qfourier import StateVector, basis_state, dot_state_transform
-
-
-def random_product_state(N, rng):
-    amps = np.ones(1, dtype=complex)
-    for _ in range(N):
-        q = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        amps = np.kron(amps, q / np.linalg.norm(q))
-    return StateVector(N=N, amps=amps)
+from qbaker.qfourier import (
+    StateVector,
+    basis_state,
+    dot_state_transform,
+    random_product_state,
+)
 
 
 def entropy_oracle(state, cut):

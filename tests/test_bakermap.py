@@ -17,25 +17,14 @@ from qbaker.bakermap import (
 from qbaker.classical import label_shift
 from qbaker.lattice import Dimensions, DotLabel, iter_labels
 from qbaker.qfourier import (
-    StateVector,
     basis_state,
+    dot_state_product,
     dot_state_transform,
     partial_transform,
+    random_product_state,
+    random_state,
     unitarity_defect,
 )
-
-
-def random_state(N, rng):
-    amps = rng.standard_normal(2**N) + 1j * rng.standard_normal(2**N)
-    return StateVector(N=N, amps=amps / np.linalg.norm(amps))
-
-
-def random_product_state(N, rng):
-    amps = np.ones(1, dtype=complex)
-    for _ in range(N):
-        q = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        amps = np.kron(amps, q / np.linalg.norm(q))
-    return StateVector(N=N, amps=amps)
 
 
 U_EXPECTED = np.array(
@@ -170,6 +159,18 @@ def test_apply_fast_moves_dot_states():
                 out = apply_baker_fast(dot_state_transform(label), n)
                 target = dot_state_transform(label_shift(label)).amps
                 assert abs(np.vdot(target, out.amps) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 8, 15, 16])
+def test_apply_fast_moves_dot_states_at_n16(n):
+    # dot_state_product builds states with no partial transform, so it checks
+    # the FFT route above the sizes the dense matvecs reach
+    bits = tuple(int(b) for b in np.random.default_rng([16, n]).integers(0, 2, 16))
+    label = DotLabel(N=16, n=n, xbits=bits[:n], abits=bits[n:])
+    source = dot_state_product(label)
+    assert np.abs(dot_state_transform(label).amps - source.amps).max() < 1e-12
+    target = dot_state_product(label_shift(label)).amps
+    assert abs(np.vdot(target, apply_baker_fast(source, n).amps) - 1.0) < 1e-10
 
 
 def test_apply_fast_validates_n():

@@ -168,6 +168,15 @@ def test_evolve_rejects_unnormalized_state_file(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("bad_row", ["0,nan,0", "0.5,1,0"])
+def test_evolve_rejects_malformed_state_file_row(tmp_path, bad_row):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"index,re,im\n{bad_row}\n1,0,0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "--state-file", str(bad), "--n", "1", "--steps", "1"])
+    assert exc.value.code == 2
+
+
 def test_evolve_from_state_file(tmp_path):
     src = tmp_path / "in.csv"
     main(["state", "--label", ".101", "--out", str(src)])
@@ -237,6 +246,9 @@ def test_bench_correctness_column(tmp_path):
     fields = rows[2].split(",")
     assert fields[0] == "4"
     assert float(fields[5]) < 1e-10
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--N", "4", "--reps", "0"])
+    assert exc.value.code == 2
 
 
 def test_console_entry_point_runs():

@@ -12,6 +12,7 @@ from qbaker.qfourier import (
     dot_state_product,
     dot_state_transform,
     partial_transform,
+    random_state,
     statevector,
     unitarity_defect,
 )
@@ -26,11 +27,6 @@ def dense_kernel(M):
     return out
 
 
-def random_state(N, rng):
-    amps = rng.standard_normal(2**N) + 1j * rng.standard_normal(2**N)
-    return StateVector(N=N, amps=amps / np.linalg.norm(amps))
-
-
 # --- state plumbing ----------------------------------------------------------
 
 
@@ -42,6 +38,11 @@ def test_statevector_checks_norm_and_length():
         statevector(np.ones(3) / np.sqrt(3))
     with pytest.raises(ValueError):
         StateVector(N=2, amps=np.zeros(8))
+
+
+def test_statevector_rejects_non_finite():
+    with pytest.raises(ValueError):
+        statevector(np.array([np.nan, 0.0]))
 
 
 def test_statevector_amps_are_frozen():
