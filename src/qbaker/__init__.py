@@ -43,7 +43,6 @@ from .bakermap import (
     Gate,
     GateList,
     apply_baker_fast,
-    apply_baker_last,
     baker_composed,
     baker_from_basis_map,
     circuit_to_matrix,
@@ -102,7 +101,6 @@ __all__ = [
     "baker_from_basis_map",
     "baker_composed",
     "last_qubit_unitary",
-    "apply_baker_last",
     "apply_baker_fast",
     "iterate",
     "emit_circuit",

@@ -14,7 +14,7 @@ matrix is verified against the dense map.
 
 The n = N member needs no controlled phases at all: it is a cyclic qubit
 shift followed by one fixed single-qubit rotation of the last slot, and so
-never entangles product states.
+never entangles product states; the state apply takes that closed form.
 """
 
 from __future__ import annotations
@@ -175,18 +175,15 @@ def last_qubit_unitary() -> np.ndarray:
     return np.array([[w.conjugate(), w], [w, w.conjugate()]]) / np.sqrt(2)
 
 
-def apply_baker_last(state: StateVector) -> StateVector:
-    """Apply the n = N map: cyclic qubit shift, then the fixed rotation on the
-    last slot.  Never entangles a product state."""
-    shifted = _cyclic_rows(state.amps, state.N, state.N)
-    out = (shifted.reshape(-1, 2) @ last_qubit_unitary().T).ravel()
-    return StateVector(N=state.N, amps=out)
-
-
 def apply_baker_fast(state: StateVector, n: int) -> StateVector:
     """Apply the n-th map to a state in O(D*N): inverse partial transform,
-    slot rotation, forward partial transform one step shorter."""
+    slot rotation, forward partial transform one step shorter.  For n = N it
+    takes the faster closed form: cyclic qubit shift, then last-slot rotation."""
     _check_map_index(state.N, n)
+    if n == state.N:
+        shifted = _cyclic_rows(state.amps, state.N, state.N)
+        out = (shifted.reshape(-1, 2) @ last_qubit_unitary().T).ravel()
+        return StateVector(N=state.N, amps=out)
     mid = apply_partial_transform(state, n, "inverse")
     rotated = _cyclic_rows(mid.amps, state.N, n)
     return apply_partial_transform(StateVector(N=state.N, amps=rotated), n - 1, "forward")
@@ -206,14 +203,13 @@ def iterate(
     if steps < 0:
         raise ValueError(f"step count must be non-negative, got {steps}")
     _check_map_index(state.N, n)
-    current = state
     if observe is not None:
-        observe(0, current)
+        observe(0, state)
     for k in range(1, steps + 1):
-        current = apply_baker_fast(current, n)
+        state = apply_baker_fast(state, n)
         if observe is not None:
-            observe(k, current)
-    return current
+            observe(k, state)
+    return state
 
 
 # --- gate-list lowering -----------------------------------------------------

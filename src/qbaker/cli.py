@@ -23,10 +23,10 @@ from .analysis import (
 )
 from .bakermap import (
     DENSE_CAP_N,
-    apply_baker_last,
     apply_baker_fast,
     baker_composed,
     emit_circuit,
+    iterate,
 )
 from .classical import label_shift
 from .lattice import Dimensions, DotLabel
@@ -173,41 +173,31 @@ def cmd_evolve(args, parser) -> int:
         parser.error(f"evolve is capped at N={FAST_CAP}, got N={N}")
     if args.steps < 0:
         parser.error("--steps must be non-negative")
-    if args.map == "BN":
-        map_index = N
-    elif args.n is not None:
-        map_index = args.n
-    elif label is not None and label.n >= 1:
-        map_index = label.n
-    else:
-        parser.error("give --n (or --map BN) to pick the map")
+    if args.tol < 0:
+        parser.error("--tol must be non-negative")
+    map_index = args.n if args.n is not None else (label.n if label is not None else 0)
     if not 1 <= map_index <= N:
-        parser.error(f"map index n={map_index} out of range [1, {N}]")
+        parser.error(f"map index n={map_index} out of range [1, {N}]; pick it with --n")
 
-    step_fn = apply_baker_last if args.map == "BN" else (lambda s: apply_baker_fast(s, map_index))
-    lines = []
-    if args.random_product:
-        lines.append(f"# seed={args.seed}")
+    lines = [f"# seed={args.seed}"] if args.random_product else []
     lines.append("step,norm,support_size,max_cut_entropy,label")
 
-    def row(step: int, s: StateVector, matched: DotLabel | None) -> str:
+    def row(step: int, s: StateVector) -> None:
+        nonlocal label  # the dot label of s, None once s has left the dot basis
+        if step > 0:
+            matched = None
+            if label is not None and label.n == map_index:
+                candidate = label_shift(label)
+                overlap = np.vdot(dot_state_transform(candidate).amps, s.amps)
+                if overlap.real >= 1.0 - 1e-10:
+                    matched = candidate
+            label = matched
         support = position_support(s, args.tol).size
         entropy = max_contiguous_cut_entropy(s) if N >= 2 else 0.0
-        text = matched.text() if matched is not None else ""
-        return f"{step},{_fmt(s.norm())},{support},{_fmt(entropy)},{text}"
+        text = label.text() if label is not None else ""
+        lines.append(f"{step},{_fmt(s.norm())},{support},{_fmt(entropy)},{text}")
 
-    current = label
-    lines.append(row(0, state, current))
-    for step in range(1, args.steps + 1):
-        state = step_fn(state)
-        matched = None
-        if current is not None and current.n == map_index:
-            candidate = label_shift(current)
-            overlap = np.vdot(dot_state_transform(candidate).amps, state.amps)
-            if overlap.real >= 1.0 - 1e-10:
-                matched = candidate
-        current = matched
-        lines.append(row(step, state, matched))
+    iterate(state, map_index, args.steps, observe=row)
     _write("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -264,12 +254,7 @@ def cmd_circuit(args, parser) -> int:
 def cmd_verify(args, parser) -> int:
     results = run_all(max_n=args.max_N, seed=args.seed, perturb=args.perturb)
     for r in results:
-        status = "SKIP" if r.skipped else ("PASS" if r.passed else "FAIL")
-        bound = "<=" if r.sense == "max<=" else ">="
-        line = f"{status} {r.name}: observed {r.observed:.3e} {bound} {r.tolerance:.3e}"
-        if r.details:
-            line += f" ({r.details})"
-        print(line)
+        print(r.line())
     failed = [r for r in results if not r.skipped and not r.passed]
     if args.report:
         payload = {
@@ -291,6 +276,8 @@ def cmd_verify(args, parser) -> int:
 def cmd_bench(args, parser) -> int:
     if args.reps < 1:
         parser.error("--reps must be at least 1")
+    if args.n < 1:
+        parser.error("--n must be at least 1")
     rng = np.random.default_rng(args.seed)
     lines = [f"# seed={args.seed}", "N,n,dense_ms,fast_ms,speedup,max_abs_err"]
     for N in args.N:
@@ -345,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label", default=None, help="dot label giving the initial state")
     p.add_argument("--state-file", default=None, help="CSV amplitude file (index,re,im)")
     p.add_argument("--random-product", action="store_true", help="seeded random product state")
-    p.add_argument("--map", choices=["Bn", "BN"], default="Bn")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--tol", type=float, default=1e-12, help="support threshold")

@@ -16,6 +16,7 @@ derived hbar.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -30,6 +31,17 @@ def _as_bits(bits: Sequence[int]) -> Bits:
     return out
 
 
+def _qubit_count(N) -> int:
+    """N as a plain int >= 1; any integer type but bool is accepted."""
+    try:
+        count = operator.index(N)
+    except TypeError:
+        count = 0
+    if isinstance(N, bool) or count < 1:
+        raise ValueError(f"qubit count must be a positive integer, got {N!r}")
+    return count
+
+
 @dataclass(frozen=True)
 class Dimensions:
     """Hilbert-space bookkeeping for N qubits on the unit torus."""
@@ -37,8 +49,7 @@ class Dimensions:
     N: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.N, int) or self.N < 1:
-            raise ValueError(f"qubit count must be a positive integer, got {self.N!r}")
+        object.__setattr__(self, "N", _qubit_count(self.N))
 
     @property
     def D(self) -> int:
@@ -97,8 +108,7 @@ class DotLabel:
     abits: Bits
 
     def __post_init__(self) -> None:
-        if not isinstance(self.N, int) or self.N < 1:
-            raise ValueError(f"qubit count must be a positive integer, got {self.N!r}")
+        object.__setattr__(self, "N", _qubit_count(self.N))
         if not 0 <= self.n <= self.N:
             raise ValueError(f"dot position n={self.n} out of range [0, {self.N}]")
         object.__setattr__(self, "xbits", _as_bits(self.xbits))

@@ -22,7 +22,6 @@ from .analysis import (
 )
 from .bakermap import (
     apply_baker_fast,
-    apply_baker_last,
     baker_composed,
     baker_from_basis_map,
     circuit_to_matrix,
@@ -73,6 +72,15 @@ class CheckResult:
             "margin": self.margin,
             "details": self.details,
         }
+
+    def line(self) -> str:
+        """One-line report: status, name, observed value against its bound."""
+        status = "SKIP" if self.skipped else ("PASS" if self.passed else "FAIL")
+        bound = "<=" if self.sense == "max<=" else ">="
+        text = f"{status} {self.name}: observed {self.observed:.3e} {bound} {self.tolerance:.3e}"
+        if self.details:
+            text += f" ({self.details})"
+        return text
 
 
 def _max_result(name: str, observed: float, tol: float, details: str = "") -> CheckResult:
@@ -198,7 +206,7 @@ def check_bn_structure(cap: int, seed: int) -> list[CheckResult]:
         rng = np.random.default_rng([seed, 7])
         worst_ent = 0.0
         for _ in range(100):
-            image = apply_baker_last(random_product_state(N, rng))
+            image = apply_baker_fast(random_product_state(N, rng), N)
             worst_ent = max(worst_ent, max_contiguous_cut_entropy(image))
         out.append(
             _max_result("7b B_N keeps products unentangled", worst_ent, 1e-10, f"N={N}")

@@ -26,11 +26,7 @@ FULL = 20  # no restriction: every sub-check runs at its stated size
 def _report(results):
     failures = []
     for r in results:
-        status = "SKIP" if r.skipped else ("PASS" if r.passed else "FAIL")
-        bound = "<=" if r.sense == "max<=" else ">="
-        line = f"[acceptance] {status} {r.name}: observed {r.observed:.3e} {bound} {r.tolerance:.3e}"
-        if r.details:
-            line += f" ({r.details})"
+        line = f"[acceptance] {r.line()}"
         print(line)
         if not r.skipped and not r.passed:
             failures.append(line)

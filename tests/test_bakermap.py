@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from qbaker.analysis import max_contiguous_cut_entropy
 from qbaker.bakermap import (
     Gate,
     GateList,
     apply_baker_fast,
-    apply_baker_last,
     baker_composed,
     baker_from_basis_map,
     circuit_to_matrix,
@@ -17,6 +17,8 @@ from qbaker.bakermap import (
 from qbaker.classical import label_shift
 from qbaker.lattice import Dimensions, DotLabel, iter_labels
 from qbaker.qfourier import (
+    StateVector,
+    apply_partial_transform,
     basis_state,
     dot_state_product,
     dot_state_transform,
@@ -116,19 +118,30 @@ def test_phase_space_cell_stretches():
 # --- fast applies ------------------------------------------------------------
 
 
-def test_apply_baker_last_single_qubit():
-    out = apply_baker_last(basis_state(1, 0))
+def test_apply_fast_last_map_single_qubit():
+    out = apply_baker_fast(basis_state(1, 0), 1)
     assert np.abs(out.amps - U_EXPECTED[:, 0]).max() < 1e-15
 
 
-def test_apply_baker_last_matches_dense():
+def test_apply_fast_last_map_matches_dense():
     rng = np.random.default_rng(23)
     for N in range(1, 8):
         dense = baker_from_basis_map(Dimensions(N), N)
         for _ in range(5):
             state = random_state(N, rng)
-            out = apply_baker_last(state)
+            out = apply_baker_fast(state, N)
             assert np.abs(out.amps - dense @ state.amps).max() < 1e-10
+
+
+def test_apply_fast_last_map_matches_three_stages_at_n16():
+    # the n = N closed form against the general route written out, at a size
+    # the dense oracle does not reach
+    N, D = 16, 1 << 16
+    state = random_state(N, np.random.default_rng(59))
+    mid = apply_partial_transform(state, N, "inverse").amps
+    rotated = StateVector(N=N, amps=mid.reshape(2, D // 2).T.ravel())
+    want = apply_partial_transform(rotated, N - 1, "forward").amps
+    assert np.abs(apply_baker_fast(state, N).amps - want).max() < 1e-12
 
 
 def test_bn_equals_u_on_last_times_cycle():
@@ -294,11 +307,10 @@ def test_emit_circuit_gate_count_quadratic():
             assert len(emit_circuit(Dimensions(N), n)) <= 3 * N**2
 
 
-def test_images_of_products_stay_products_for_last_map():
+@pytest.mark.parametrize("N,draws", [(6, 20), (16, 2)])
+def test_images_of_products_stay_products_for_last_map(N, draws):
     rng = np.random.default_rng(53)
-    from qbaker.analysis import max_contiguous_cut_entropy
-
-    for _ in range(20):
-        state = random_product_state(6, rng)
-        image = apply_baker_last(state)
+    for _ in range(draws):
+        state = random_product_state(N, rng)
+        image = apply_baker_fast(state, N)
         assert max_contiguous_cut_entropy(image) < 1e-10

@@ -133,7 +133,7 @@ def test_evolve_zero_steps(tmp_path):
 def test_evolve_product_state_stays_unentangled(tmp_path):
     out = tmp_path / "evolve.csv"
     assert main(
-        ["evolve", "--N", "6", "--map", "BN", "--random-product", "--steps", "5",
+        ["evolve", "--N", "6", "--n", "6", "--random-product", "--steps", "5",
          "--seed", "11", "--out", str(out)]
     ) == 0
     rows = out.read_text().strip().splitlines()
@@ -146,7 +146,7 @@ def test_evolve_product_state_stays_unentangled(tmp_path):
 def test_evolve_bn_tracks_full_dot_label(tmp_path):
     out = tmp_path / "evolve.csv"
     assert main(
-        ["evolve", "--label", ".101", "--map", "BN", "--steps", "2", "--out", str(out)]
+        ["evolve", "--label", ".101", "--n", "3", "--steps", "2", "--out", str(out)]
     ) == 0
     rows = out.read_text().strip().splitlines()
     # first step tracks the shift; afterwards the fixed map leaves the dot basis
@@ -157,6 +157,12 @@ def test_evolve_bn_tracks_full_dot_label(tmp_path):
 def test_evolve_rejects_bad_label():
     with pytest.raises(SystemExit) as exc:
         main(["evolve", "--label", "0.1.0", "--steps", "1"])
+    assert exc.value.code == 2
+
+
+def test_evolve_rejects_negative_tol():
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "--label", "0.1", "--steps", "1", "--tol", "-1"])
     assert exc.value.code == 2
 
 
@@ -248,6 +254,9 @@ def test_bench_correctness_column(tmp_path):
     assert float(fields[5]) < 1e-10
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--N", "4", "--reps", "0"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--N", "4", "--n", "0"])
     assert exc.value.code == 2
 
 

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qbaker.lattice import (
@@ -22,10 +23,17 @@ def test_dimensions_invariants():
         assert abs(2.0 * math.pi * dims.hbar * dims.D - 1.0) < 1e-15
 
 
-@pytest.mark.parametrize("bad", [0, -1, 1.5, "3"])
+@pytest.mark.parametrize("bad", [0, -1, 1.5, "3", True])
 def test_dimensions_rejects_bad_qubit_counts(bad):
     with pytest.raises(ValueError):
         Dimensions(bad)
+
+
+def test_qubit_counts_accept_numpy_integers():
+    dims = Dimensions(np.int64(3))
+    assert dims.N == 3 and type(dims.N) is int
+    label = DotLabel(N=np.int64(2), n=1, xbits=(1,), abits=(0,))
+    assert label.N == 2 and type(label.N) is int
 
 
 @pytest.mark.parametrize(
