@@ -4,6 +4,13 @@ trajectories, produce spectrum/localization reports, verify, and benchmark.
 One binary with subcommands, flags only; every run is reproducible from its
 command line (seeded randomness, seed echoed).  Exit codes: 0 success,
 1 verification failure, 2 usage error.
+
+The library is the one home of argument ranges: a subcommand passes its
+flags straight to qbaker, and main turns any ValueError or OSError it raises
+into a usage error that quotes the library's message.  The CLI itself checks
+only its own policy: the size caps, which flags go together, and the state
+file's layout and norm.  A qbaker self-check failure (say, a kernel that is
+not unitary) therefore also exits 2 with its message.
 """
 
 from __future__ import annotations
@@ -57,13 +64,6 @@ def _write(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _parse_label(parser: argparse.ArgumentParser, text: str) -> DotLabel:
-    try:
-        return DotLabel.parse(text)
-    except ValueError as exc:
-        parser.error(f"malformed label: {exc}")
-
-
 def _target_matrix(parser, target: str, N: int, n: int | None) -> np.ndarray:
     if N > DENSE_CAP_N:
         parser.error(f"dense commands are capped at N={DENSE_CAP_N}, got N={N}")
@@ -71,14 +71,10 @@ def _target_matrix(parser, target: str, N: int, n: int | None) -> np.ndarray:
     if target == "G":
         if n is None:
             parser.error("--target G needs --n")
-        if not 0 <= n <= N:
-            parser.error(f"--n must lie in [0, {N}] for target G")
         return partial_transform(dims, n)
     if target == "B":
         if n is None:
             parser.error("--target B needs --n")
-        if not 1 <= n <= N:
-            parser.error(f"--n must lie in [1, {N}] for target B")
         return baker_composed(dims, n)
     if target == "U":
         return displacement_u(dims)
@@ -109,7 +105,7 @@ def cmd_matrix(args, parser) -> int:
 
 
 def cmd_state(args, parser) -> int:
-    label = _parse_label(parser, args.label)
+    label = DotLabel.parse(args.label)
     state = dot_state_product(label) if args.route == "product" else dot_state_transform(label)
     if args.format == "csv":
         lines = ["index,re,im"]
@@ -123,10 +119,7 @@ def cmd_state(args, parser) -> int:
 
 
 def _read_state_file(parser, path: str) -> StateVector:
-    try:
-        rows = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    except OSError as exc:
-        parser.error(f"cannot read state file: {exc}")
+    rows = Path(path).read_text(encoding="utf-8").strip().splitlines()
     if rows and rows[0].lower().startswith("index"):
         rows = rows[1:]
     amps_by_index = {}
@@ -134,10 +127,7 @@ def _read_state_file(parser, path: str) -> StateVector:
         parts = row.split(",")
         if len(parts) != 3:
             parser.error(f"state file rows must be 'index,re,im', got {row!r}")
-        try:
-            amps_by_index[int(parts[0])] = float(parts[1]) + 1j * float(parts[2])
-        except ValueError:
-            parser.error(f"state file rows must be 'integer,real,real', got {row!r}")
+        amps_by_index[int(parts[0])] = float(parts[1]) + 1j * float(parts[2])
     size = len(amps_by_index)
     if size < 2 or size & (size - 1) or set(amps_by_index) != set(range(size)):
         parser.error("state file must list every index 0..2^N-1 exactly once")
@@ -156,7 +146,7 @@ def cmd_evolve(args, parser) -> int:
         parser.error("give exactly one of --label, --state-file, --random-product")
     label = None
     if args.label is not None:
-        label = _parse_label(parser, args.label)
+        label = DotLabel.parse(args.label)
         if args.N is not None and args.N != label.N:
             parser.error(f"--N {args.N} contradicts label with N={label.N}")
         state = dot_state_transform(label)
@@ -171,13 +161,9 @@ def cmd_evolve(args, parser) -> int:
     N = state.N
     if N > FAST_CAP:
         parser.error(f"evolve is capped at N={FAST_CAP}, got N={N}")
-    if args.steps < 0:
-        parser.error("--steps must be non-negative")
-    if args.tol < 0:
-        parser.error("--tol must be non-negative")
-    map_index = args.n if args.n is not None else (label.n if label is not None else 0)
-    if not 1 <= map_index <= N:
-        parser.error(f"map index n={map_index} out of range [1, {N}]; pick it with --n")
+    if args.n is None and label is None:
+        parser.error("--n is needed unless --label supplies the map index")
+    map_index = args.n if args.n is not None else label.n
 
     lines = [f"# seed={args.seed}"] if args.random_product else []
     lines.append("step,norm,support_size,max_cut_entropy,label")
@@ -213,11 +199,7 @@ def cmd_spectrum(args, parser) -> int:
 
 
 def cmd_localize(args, parser) -> int:
-    label = _parse_label(parser, args.label)
-    if args.N is not None and args.N != label.N:
-        parser.error(f"--N {args.N} contradicts label with N={label.N}")
-    if args.n is not None and args.n != label.n:
-        parser.error(f"--n {args.n} contradicts label with n={label.n}")
+    label = DotLabel.parse(args.label)
     report = check_strict_localization(label)
     payload = {
         "label": label.text(),
@@ -243,8 +225,6 @@ def _gate_record(gate) -> dict:
 def cmd_circuit(args, parser) -> int:
     if args.N > DENSE_CAP_N:
         parser.error(f"circuit lowering is capped at N={DENSE_CAP_N}, got N={args.N}")
-    if not 1 <= args.n <= args.N:
-        parser.error(f"--n must lie in [1, {args.N}]")
     gl = emit_circuit(Dimensions(args.N), args.n)
     payload = {"N": gl.N, "gates": [_gate_record(g) for g in gl.gates]}
     _write(json.dumps(payload, indent=2) + "\n", args.out)
@@ -276,13 +256,11 @@ def cmd_verify(args, parser) -> int:
 def cmd_bench(args, parser) -> int:
     if args.reps < 1:
         parser.error("--reps must be at least 1")
-    if args.n < 1:
-        parser.error("--n must be at least 1")
     rng = np.random.default_rng(args.seed)
     lines = [f"# seed={args.seed}", "N,n,dense_ms,fast_ms,speedup,max_abs_err"]
     for N in args.N:
-        if not 1 <= N <= FAST_CAP:
-            parser.error(f"bench sizes must lie in [1, {FAST_CAP}], got {N}")
+        if N > FAST_CAP:
+            parser.error(f"bench is capped at N={FAST_CAP}, got N={N}")
         n = min(args.n, N)
         state = random_state(N, rng)
         apply_baker_fast(state, n)  # warm caches before timing
@@ -346,9 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("localize", help="localization report for a dot-basis state")
-    p.add_argument("--label", required=True)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--label", required=True, help="dot label, e.g. 0.10")
     add_out(p)
     p.set_defaults(func=cmd_localize)
 
@@ -380,7 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    try:
+        return args.func(args, parser)
+    except (ValueError, OSError) as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

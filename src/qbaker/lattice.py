@@ -31,15 +31,15 @@ def _as_bits(bits: Sequence[int]) -> Bits:
     return out
 
 
-def _qubit_count(N) -> int:
-    """N as a plain int >= 1; any integer type but bool is accepted."""
+def _qubit_count(count, least: int = 1) -> int:
+    """count as a plain int >= least; any integer type but bool is accepted."""
     try:
-        count = operator.index(N)
+        value = operator.index(count)
     except TypeError:
-        count = 0
-    if isinstance(N, bool) or count < 1:
-        raise ValueError(f"qubit count must be a positive integer, got {N!r}")
-    return count
+        value = least - 1
+    if isinstance(count, bool) or value < least:
+        raise ValueError(f"qubit count must be an integer >= {least}, got {count!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,8 @@ class DotLabel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "N", _qubit_count(self.N))
-        if not 0 <= self.n <= self.N:
+        object.__setattr__(self, "n", _qubit_count(self.n, least=0))
+        if self.n > self.N:
             raise ValueError(f"dot position n={self.n} out of range [0, {self.N}]")
         object.__setattr__(self, "xbits", _as_bits(self.xbits))
         object.__setattr__(self, "abits", _as_bits(self.abits))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Dimensions, DotLabel
+from .lattice import Dimensions, DotLabel, _binary_fraction
 
 NORM_TOL = 1e-12
 UNITARY_TOL = 1e-12
@@ -83,12 +83,14 @@ def basis_state(N: int, j: int) -> StateVector:
 
 def random_state(N: int, rng: np.random.Generator) -> StateVector:
     """Haar-random state: normalized complex Gaussian amplitudes."""
-    amps = rng.standard_normal(1 << N) + 1j * rng.standard_normal(1 << N)
+    D = Dimensions(N).D
+    amps = rng.standard_normal(D) + 1j * rng.standard_normal(D)
     return StateVector(N=N, amps=amps / np.linalg.norm(amps))
 
 
 def random_product_state(N: int, rng: np.random.Generator) -> StateVector:
     """Random product state: one normalized complex Gaussian qubit per slot."""
+    N = Dimensions(N).N
     amps = np.ones(1, dtype=np.complex128)
     for _ in range(N):
         qubit = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -188,22 +190,13 @@ def dot_state_product(label: DotLabel) -> StateVector:
         qubit[x] = 1.0
         factors.append(qubit)
     for m in range(1, t + 1):
-        frac = _guarded_fraction(label.abits[t - m:])
+        frac = float(_binary_fraction(label.abits[t - m:]))
         factors.append(
             np.array([1.0, np.exp(2j * np.pi * frac)], dtype=np.complex128) / np.sqrt(2)
         )
     amps = functools.reduce(np.kron, factors, np.ones(1, dtype=np.complex128))
-    amps *= np.exp(1j * np.pi * _guarded_fraction(label.abits))
+    amps *= np.exp(1j * np.pi * float(_binary_fraction(label.abits)))
     return StateVector(N=label.N, amps=amps)
-
-
-def _guarded_fraction(bits: tuple[int, ...]) -> float:
-    """Binary fraction 0.b_1...b_m1 (guard bit appended); exact in a double
-    for m <= 50."""
-    value = 0.0
-    for i, b in enumerate(bits, start=1):
-        value += b / (1 << i)
-    return value + 1.0 / (1 << (len(bits) + 1))
 
 
 def displacement_u(dims: Dimensions) -> np.ndarray:

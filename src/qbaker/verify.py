@@ -393,6 +393,9 @@ def run_all(
     max_n: int | None = None, seed: int = DEFAULT_SEED, perturb: float = 0.0
 ) -> list[CheckResult]:
     """Run every acceptance criterion, clamped to max_n when given."""
+    if max_n is not None and max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
+    np.random.SeedSequence(seed)  # reject a bad seed before any criterion runs
     cap = 20 if max_n is None else max_n
     results: list[CheckResult] = []
     results += check_unitarity(cap, perturb)

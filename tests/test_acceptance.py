@@ -4,6 +4,9 @@ Each test prints one PASS/FAIL line (visible with pytest -s; the same lines
 come out of `qbaker verify`).
 """
 
+import pytest
+
+from qbaker import verify
 from qbaker.verify import (
     DEFAULT_SEED,
     check_b1_reduction,
@@ -18,6 +21,7 @@ from qbaker.verify import (
     check_product_form,
     check_route_equivalence,
     check_unitarity,
+    run_all,
 )
 
 FULL = 20  # no restriction: every sub-check runs at its stated size
@@ -79,3 +83,13 @@ def test_c11_fast_path():
 
 def test_c12_circuit_lowering():
     _report(check_circuit_lowering(FULL))
+
+
+@pytest.mark.parametrize("max_n,seed", [(0, DEFAULT_SEED), (-3, DEFAULT_SEED), (2, -1)])
+def test_run_all_rejects_bad_arguments_before_any_check(monkeypatch, max_n, seed):
+    def unreachable(*args):
+        raise AssertionError("a criterion ran before the arguments were checked")
+
+    monkeypatch.setattr(verify, "check_unitarity", unreachable)
+    with pytest.raises(ValueError):
+        run_all(max_n=max_n, seed=seed)

@@ -209,13 +209,40 @@ def test_spectrum_single_qubit_map(tmp_path):
 
 def test_localize_report(tmp_path):
     out = tmp_path / "loc.json"
-    assert main(["localize", "--N", "3", "--n", "2", "--label", "0.10", "--out", str(out)]) == 0
+    assert main(["localize", "--label", "0.10", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["support"] == [4, 5]
     assert payload["N"] == 3 and payload["n"] == 2
     with pytest.raises(SystemExit) as exc:
         main(["localize", "--N", "4", "--label", "0.10"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matrix", "--target", "F", "--N", "0"],
+        ["matrix", "--target", "U", "--N", "-1"],
+        ["spectrum", "--target", "V", "--N", "0"],
+        ["evolve", "--random-product", "--N", "0", "--steps", "1"],
+        ["evolve", "--random-product", "--N", "2", "--steps", "1", "--seed", "-1"],
+        ["bench", "--N", "4", "--seed", "-1"],
+        ["verify", "--max-N", "2", "--seed", "-1"],
+        ["verify", "--max-N", "0"],
+        ["state", "--label", "0.1", "--out", "{missing}/x.csv"],
+        ["verify", "--max-N", "1", "--report", "{missing}/r.json"],
+        ["bench", "--N", "0"],
+        ["evolve", "--state-file", "{missing}/s.csv", "--n", "1", "--steps", "1"],
+    ],
+)
+def test_rejected_arguments_exit_2(tmp_path, capsys, argv):
+    argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("qbaker: error: ")
+    assert not any("Traceback" in line for line in err)
 
 
 def test_circuit_single_gate(tmp_path):

@@ -32,8 +32,15 @@ def test_dimensions_rejects_bad_qubit_counts(bad):
 def test_qubit_counts_accept_numpy_integers():
     dims = Dimensions(np.int64(3))
     assert dims.N == 3 and type(dims.N) is int
-    label = DotLabel(N=np.int64(2), n=1, xbits=(1,), abits=(0,))
+    label = DotLabel(N=np.int64(2), n=np.int64(1), xbits=(1,), abits=(0,))
     assert label.N == 2 and type(label.N) is int
+    assert label.n == 1 and type(label.n) is int
+
+
+@pytest.mark.parametrize("bad_n", [1.0, True, -1, "1"])
+def test_dot_label_rejects_bad_dot_positions(bad_n):
+    with pytest.raises(ValueError):
+        DotLabel(N=2, n=bad_n, xbits=(1,), abits=(0,))
 
 
 @pytest.mark.parametrize(
