@@ -8,7 +8,7 @@ import numpy as np
 
 from .classical import label_shift
 from .lattice import DotLabel, bits_to_index
-from .qfourier import StateVector, apply_partial_transform, dot_state_transform, unitarity_defect
+from .qfourier import StateVector, apply_partial_transform, dot_state_transform, _check_unitary
 from .bakermap import apply_baker_fast
 
 
@@ -96,10 +96,7 @@ def max_contiguous_cut_entropy(state: StateVector) -> float:
 def eigenphases(u: np.ndarray, tol: float = 1e-10) -> SpectrumReport:
     """Eigenphases of a unitary, sorted in [0, 2 pi), with circular
     nearest-neighbor spacings normalized to unit mean."""
-    u = np.asarray(u, dtype=np.complex128)
-    defect = unitarity_defect(u)
-    if defect > tol:
-        raise ValueError(f"matrix is not unitary: defect {defect:.3e} > {tol:.1e}")
+    u = _check_unitary(np.asarray(u, dtype=np.complex128), tol, "matrix")
     vals = np.linalg.eigvals(u)
     unit_dev = float(np.abs(np.abs(vals) - 1.0).max())
     phases = np.sort(np.mod(np.angle(vals), 2.0 * np.pi))

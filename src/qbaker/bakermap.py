@@ -8,9 +8,11 @@ provided: directly from that basis action, and as the composition
 
 where Cyc_n cyclically rotates the contents of the first n qubit slots
 (slot 1 moves to slot n) and G_k is the partial antiperiodic transform.  The
-composed form is the production route; the basis-map form is its oracle.
-It also yields an O(D*N) state apply and an O(N^2) gate-list lowering whose
-matrix is verified against the dense map.
+production route is the O(D*N) state apply `apply_baker_fast`, which follows
+the composed form without building it.  Both dense forms and an O(N^2)
+gate-list lowering are its checks.  The lowering's simulator acts on reshaped
+views that expose a gate's slots as axes, so it runs on matrices (checked
+against the dense map) and on states past the dense cap.
 
 The n = N member needs no controlled phases at all: it is a cyclic qubit
 shift followed by one fixed single-qubit rotation of the last slot, and so
@@ -25,7 +27,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .classical import label_shift
-from .lattice import Dimensions, iter_labels
+from .lattice import Dimensions, _qubit_count, iter_labels
 from .qfourier import (
     StateVector,
     antiperiodic_dft,
@@ -106,8 +108,7 @@ class GateList:
     gates: tuple[Gate, ...]
 
     def __post_init__(self) -> None:
-        if self.N < 1:
-            raise ValueError(f"qubit count must be positive, got {self.N}")
+        object.__setattr__(self, "N", _qubit_count(self.N))
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if any(t > self.N for t in g.targets):
@@ -304,27 +305,22 @@ def emit_circuit(dims: Dimensions, n: int) -> GateList:
     return GateList(N=dims.N, gates=tuple(_simplify(gates)))
 
 
-def _apply_gate_rows(mat: np.ndarray, gate: Gate, N: int) -> np.ndarray:
-    """Left-multiply `mat` by the embedding of `gate` into N qubits."""
-    D = 1 << N
+def _apply_gate_rows(mat: np.ndarray, gate: Gate) -> np.ndarray:
+    """Left-multiply `mat` by the embedding of `gate`.  The rows of `mat` are
+    indexed by the qubit string, so a reshaped view exposes each target slot
+    as an axis of length 2 and the gate acts on those axes alone."""
     if gate.kind == "single_qubit":
-        s = gate.targets[0]
-        shaped = mat.reshape(1 << (s - 1), 2, (D >> s) * mat.shape[1])
+        shaped = mat.reshape(1 << (gate.targets[0] - 1), 2, -1)
         return np.einsum("ab,ibj->iaj", gate.matrix, shaped).reshape(mat.shape)
-    if gate.kind == "controlled_phase":
-        s1, s2 = gate.targets
-        idx = np.arange(D)
-        both = ((idx >> (N - s1)) & (idx >> (N - s2)) & 1).astype(bool)
-        mat = mat.copy()
-        mat[both] *= np.exp(1j * gate.angle)
-        return mat
+    if gate.kind == "global_phase":
+        return mat * np.exp(1j * gate.angle)
+    a, b = sorted(gate.targets)
+    view = (1 << (a - 1), 2, 1 << (b - a - 1), 2, -1)
     if gate.kind == "swap":
-        s1, s2 = gate.targets
-        idx = np.arange(D)
-        differ = ((idx >> (N - s1)) ^ (idx >> (N - s2))) & 1
-        swapped = idx ^ (differ << (N - s1)) ^ (differ << (N - s2))
-        return mat[swapped]
-    return mat * np.exp(1j * gate.angle)
+        return mat.reshape(view).swapaxes(1, 3).reshape(mat.shape)
+    out = mat.copy()
+    out.reshape(view)[:, 1, :, 1] *= np.exp(1j * gate.angle)
+    return out
 
 
 def circuit_to_matrix(gl: GateList) -> np.ndarray:
@@ -333,5 +329,5 @@ def circuit_to_matrix(gl: GateList) -> np.ndarray:
         raise ValueError(f"dense circuit evaluation capped at N={DENSE_CAP_N}, got {gl.N}")
     mat = np.eye(1 << gl.N, dtype=np.complex128)
     for g in gl.gates:
-        mat = _apply_gate_rows(mat, g, gl.N)
+        mat = _apply_gate_rows(mat, g)
     return _check_unitary(mat, 1e-10, "circuit matrix")

@@ -48,7 +48,7 @@ from .qfourier import (
     random_product_state,
     random_state,
 )
-from .verify import DEFAULT_SEED, best_time, run_all
+from .verify import DEFAULT_SEED, _check_seed, best_time, run_all
 
 FAST_CAP = 20
 
@@ -127,7 +127,10 @@ def _read_state_file(parser, path: str) -> StateVector:
         parts = row.split(",")
         if len(parts) != 3:
             parser.error(f"state file rows must be 'index,re,im', got {row!r}")
-        amps_by_index[int(parts[0])] = float(parts[1]) + 1j * float(parts[2])
+        index = int(parts[0])
+        if index in amps_by_index:
+            parser.error(f"state file lists index {index} more than once")
+        amps_by_index[index] = float(parts[1]) + 1j * float(parts[2])
     size = len(amps_by_index)
     if size < 2 or size & (size - 1) or set(amps_by_index) != set(range(size)):
         parser.error("state file must list every index 0..2^N-1 exactly once")
@@ -157,7 +160,7 @@ def cmd_evolve(args, parser) -> int:
     else:
         if args.N is None:
             parser.error("--random-product needs --N")
-        state = random_product_state(args.N, np.random.default_rng(args.seed))
+        state = random_product_state(args.N, np.random.default_rng(_check_seed(args.seed)))
     N = state.N
     if N > FAST_CAP:
         parser.error(f"evolve is capped at N={FAST_CAP}, got N={N}")
@@ -256,7 +259,7 @@ def cmd_verify(args, parser) -> int:
 def cmd_bench(args, parser) -> int:
     if args.reps < 1:
         parser.error("--reps must be at least 1")
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_check_seed(args.seed))
     lines = [f"# seed={args.seed}", "N,n,dense_ms,fast_ms,speedup,max_abs_err"]
     for N in args.N:
         if N > FAST_CAP:

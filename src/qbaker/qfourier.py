@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Dimensions, DotLabel, _binary_fraction
+from .lattice import Dimensions, DotLabel, _binary_fraction, _qubit_count
 
 NORM_TOL = 1e-12
 UNITARY_TOL = 1e-12
@@ -44,8 +44,9 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "N", _qubit_count(self.N))
         arr = np.array(self.amps, dtype=np.complex128, copy=True).ravel()
-        if self.N < 1 or arr.size != (1 << self.N):
+        if arr.size != (1 << self.N):
             raise ValueError(
                 f"amplitude vector of length {arr.size} does not match N={self.N}"
             )

@@ -45,6 +45,16 @@ from .qfourier import (
 DEFAULT_SEED = 20990
 
 
+def _check_seed(seed):
+    """seed itself if numpy can seed a generator from it; otherwise a
+    ValueError that quotes it."""
+    try:
+        np.random.SeedSequence(seed)
+    except (TypeError, ValueError):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}") from None
+    return seed
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -395,7 +405,7 @@ def run_all(
     """Run every acceptance criterion, clamped to max_n when given."""
     if max_n is not None and max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
-    np.random.SeedSequence(seed)  # reject a bad seed before any criterion runs
+    _check_seed(seed)  # reject a bad seed before any criterion runs
     cap = 20 if max_n is None else max_n
     results: list[CheckResult] = []
     results += check_unitarity(cap, perturb)

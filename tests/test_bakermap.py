@@ -5,6 +5,7 @@ from qbaker.analysis import max_contiguous_cut_entropy
 from qbaker.bakermap import (
     Gate,
     GateList,
+    _apply_gate_rows,
     apply_baker_fast,
     baker_composed,
     baker_from_basis_map,
@@ -249,6 +250,13 @@ def test_gate_validation():
         GateList(N=1, gates=(Gate.swap(1, 2),))  # target beyond N
 
 
+def test_gate_list_qubit_count_is_a_plain_int():
+    assert type(GateList(N=np.int64(2), gates=()).N) is int
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError):
+            GateList(N=bad, gates=())
+
+
 def test_circuit_to_matrix_basics():
     assert np.abs(circuit_to_matrix(GateList(N=2, gates=())) - np.eye(4)).max() == 0.0
     swap = circuit_to_matrix(GateList(N=2, gates=(Gate.swap(1, 2),)))
@@ -305,6 +313,17 @@ def test_emit_circuit_gate_count_quadratic():
     for N in range(1, 9):
         for n in range(1, N + 1):
             assert len(emit_circuit(Dimensions(N), n)) <= 3 * N**2
+
+
+def test_apply_fast_matches_circuit_on_a_state_at_n16():
+    # the circuit builds its transforms from gates, not from numpy's FFT
+    dims = Dimensions(16)
+    state = random_state(16, np.random.default_rng(16))
+    for n in range(1, 17):
+        column = state.amps.reshape(-1, 1)
+        for gate in emit_circuit(dims, n).gates:
+            column = _apply_gate_rows(column, gate)
+        assert np.abs(column.ravel() - apply_baker_fast(state, n).amps).max() < 1e-10, n
 
 
 @pytest.mark.parametrize("N,draws", [(6, 20), (16, 2)])

@@ -183,6 +183,15 @@ def test_evolve_rejects_malformed_state_file_row(tmp_path, bad_row):
     assert exc.value.code == 2
 
 
+def test_evolve_rejects_repeated_state_file_index(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("index,re,im\n0,0.5,0\n1,0.1,0\n1,0.5,0\n2,0.5,0\n3,0.5,0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "--state-file", str(bad), "--n", "1", "--steps", "0"])
+    assert exc.value.code == 2
+    assert "index 1" in capsys.readouterr().err.splitlines()[-1]
+
+
 def test_evolve_from_state_file(tmp_path):
     src = tmp_path / "in.csv"
     main(["state", "--label", ".101", "--out", str(src)])
@@ -243,6 +252,22 @@ def test_rejected_arguments_exit_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err.splitlines()
     assert err[-1].startswith("qbaker: error: ")
     assert not any("Traceback" in line for line in err)
+
+
+def test_negative_seed_error_quotes_the_seed(tmp_path, capsys):
+    for argv in (
+        ["evolve", "--random-product", "--N", "2", "--steps", "1", "--seed", "-1"],
+        ["bench", "--N", "4", "--seed", "-1"],
+        ["verify", "--max-N", "2", "--seed", "-1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        line = capsys.readouterr().err.splitlines()[-1]
+        assert line.startswith("qbaker: error: seed") and "-1" in line, argv
+    # a labelled run draws nothing, so its seed is never checked
+    out = tmp_path / "run.csv"
+    assert main(["evolve", "--label", "0.1", "--steps", "1", "--seed", "-1", "--out", str(out)]) == 0
 
 
 def test_circuit_single_gate(tmp_path):

@@ -40,6 +40,13 @@ def test_statevector_checks_norm_and_length():
         StateVector(N=2, amps=np.zeros(8))
 
 
+def test_statevector_qubit_count_is_a_plain_int():
+    assert type(StateVector(N=np.int64(1), amps=[1, 0]).N) is int
+    for bad in (True, 1.0):
+        with pytest.raises(ValueError):
+            StateVector(N=bad, amps=[1, 0])
+
+
 def test_statevector_rejects_non_finite():
     with pytest.raises(ValueError):
         statevector(np.array([np.nan, 0.0]))
