@@ -43,6 +43,7 @@ from .bakermap import (
     Gate,
     GateList,
     apply_baker_fast,
+    apply_circuit,
     baker_composed,
     baker_from_basis_map,
     circuit_to_matrix,
@@ -104,6 +105,7 @@ __all__ = [
     "apply_baker_fast",
     "iterate",
     "emit_circuit",
+    "apply_circuit",
     "circuit_to_matrix",
     "position_support",
     "check_strict_localization",

@@ -10,9 +10,11 @@ where Cyc_n cyclically rotates the contents of the first n qubit slots
 (slot 1 moves to slot n) and G_k is the partial antiperiodic transform.  The
 production route is the O(D*N) state apply `apply_baker_fast`, which follows
 the composed form without building it.  Both dense forms and an O(N^2)
-gate-list lowering are its checks.  The lowering's simulator acts on reshaped
-views that expose a gate's slots as axes, so it runs on matrices (checked
-against the dense map) and on states past the dense cap.
+gate-list lowering are its checks.  The lowering has three gate kinds
+(single-qubit gates, controlled phases, swaps); the map's scalar phase is
+folded into its last gate.  `apply_circuit` runs a gate list on reshaped views
+that expose each gate's slots as axes, so it acts on matrices (checked against
+the dense map) and on states past the dense cap.
 
 The n = N member needs no controlled phases at all: it is a cyclic qubit
 shift followed by one fixed single-qubit rotation of the last slot, and so
@@ -38,8 +40,9 @@ from .qfourier import (
 )
 
 DENSE_CAP_N = 12
+FAST_CAP_N = 20
 
-GATE_KINDS = ("single_qubit", "controlled_phase", "swap", "global_phase")
+GATE_KINDS = ("single_qubit", "controlled_phase", "swap")
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2)
 
@@ -76,12 +79,8 @@ class Gate:
         elif self.kind == "controlled_phase":
             if len(targets) != 2 or self.angle is None:
                 raise ValueError("controlled_phase gate needs two targets and an angle")
-        elif self.kind == "swap":
-            if len(targets) != 2:
-                raise ValueError("swap gate needs two targets")
-        else:
-            if targets or self.angle is None:
-                raise ValueError("global_phase gate needs an angle and no targets")
+        elif len(targets) != 2:
+            raise ValueError("swap gate needs two targets")
 
     @classmethod
     def single_qubit(cls, slot: int, matrix: np.ndarray) -> "Gate":
@@ -94,10 +93,6 @@ class Gate:
     @classmethod
     def swap(cls, slot_a: int, slot_b: int) -> "Gate":
         return cls(kind="swap", targets=(slot_a, slot_b))
-
-    @classmethod
-    def global_phase(cls, angle: float) -> "Gate":
-        return cls(kind="global_phase", targets=(), angle=float(angle))
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,16 +229,14 @@ def _qft_gates(slots: Sequence[int]) -> list[Gate]:
 
 
 def _antiperiodic_block(slots: Sequence[int]) -> list[Gate]:
-    """Forward antiperiodic kernel on the given slots, factorized as half-bit
-    phase ladder, standard transform, phase ladder, global phase e^{i pi/2M}."""
-    t = len(slots)
+    """Forward antiperiodic kernel on the given slots up to its scalar phase
+    e^{i pi/2M}, factorized as half-bit phase ladder, standard transform,
+    phase ladder."""
     ladder = [
         Gate.single_qubit(slots[m - 1], _phase_matrix(np.pi / (1 << m)))
-        for m in range(1, t + 1)
+        for m in range(1, len(slots) + 1)
     ]
-    gates = list(ladder) + _qft_gates(slots) + list(ladder)
-    gates.append(Gate.global_phase(np.pi / (2 << t)))
-    return gates
+    return ladder + _qft_gates(slots) + ladder
 
 
 def _invert_gates(gates: Sequence[Gate]) -> list[Gate]:
@@ -253,40 +246,19 @@ def _invert_gates(gates: Sequence[Gate]) -> list[Gate]:
             out.append(Gate.single_qubit(g.targets[0], g.matrix.conj().T))
         elif g.kind == "controlled_phase":
             out.append(Gate.controlled_phase(*g.targets, -g.angle))
-        elif g.kind == "swap":
+        else:  # a swap is its own inverse
             out.append(g)
-        else:
-            out.append(Gate.global_phase(-g.angle))
     return out
 
 
 def _simplify(gates: Sequence[Gate]) -> list[Gate]:
-    """Hoist global phases into one accumulator, merge runs of consecutive
-    single-qubit gates on the same slot, and fold the accumulated phase into
-    the last single-qubit gate (or keep one global_phase record)."""
-    total_phase = 0.0
+    """Merge runs of consecutive single-qubit gates on the same slot."""
     out: list[Gate] = []
     for g in gates:
-        if g.kind == "global_phase":
-            total_phase += g.angle
-        elif (
-            g.kind == "single_qubit"
-            and out
-            and out[-1].kind == "single_qubit"
-            and out[-1].targets == g.targets
-        ):
+        if out and g.kind == out[-1].kind == "single_qubit" and out[-1].targets == g.targets:
             out[-1] = Gate.single_qubit(g.targets[0], g.matrix @ out[-1].matrix)
         else:
             out.append(g)
-    if abs(np.exp(1j * total_phase) - 1.0) > 1e-15:
-        for i in range(len(out) - 1, -1, -1):
-            if out[i].kind == "single_qubit":
-                out[i] = Gate.single_qubit(
-                    out[i].targets[0], np.exp(1j * total_phase) * out[i].matrix
-                )
-                break
-        else:
-            out.append(Gate.global_phase(total_phase))
     return out
 
 
@@ -299,10 +271,15 @@ def emit_circuit(dims: Dimensions, n: int) -> GateList:
     one single-qubit gate.
     """
     _check_map_index(dims.N, n)
-    gates = _invert_gates(_antiperiodic_block(range(n + 1, dims.N + 1)))
+    N = dims.N
+    gates = _invert_gates(_antiperiodic_block(range(n + 1, N + 1)))
     gates += [Gate.swap(k, k + 1) for k in range(1, n)]
-    gates += _antiperiodic_block(range(n, dims.N + 1))
-    return GateList(N=dims.N, gates=tuple(_simplify(gates)))
+    forward = _antiperiodic_block(range(n, N + 1))
+    # the blocks' scalar phases e^{-i pi/2^(N-n+1)} and e^{i pi/2^(N-n+1)} sum
+    # to e^{-i pi/2^(N-n+2)}; the forward block always ends on slot N
+    phase = np.exp(-1j * np.pi / (4 << (N - n)))
+    forward[-1] = Gate.single_qubit(N, phase * forward[-1].matrix)
+    return GateList(N=N, gates=tuple(_simplify(gates + forward)))
 
 
 def _apply_gate_rows(mat: np.ndarray, gate: Gate) -> np.ndarray:
@@ -312,8 +289,6 @@ def _apply_gate_rows(mat: np.ndarray, gate: Gate) -> np.ndarray:
     if gate.kind == "single_qubit":
         shaped = mat.reshape(1 << (gate.targets[0] - 1), 2, -1)
         return np.einsum("ab,ibj->iaj", gate.matrix, shaped).reshape(mat.shape)
-    if gate.kind == "global_phase":
-        return mat * np.exp(1j * gate.angle)
     a, b = sorted(gate.targets)
     view = (1 << (a - 1), 2, 1 << (b - a - 1), 2, -1)
     if gate.kind == "swap":
@@ -323,11 +298,19 @@ def _apply_gate_rows(mat: np.ndarray, gate: Gate) -> np.ndarray:
     return out
 
 
+def apply_circuit(amps: np.ndarray, gl: GateList) -> np.ndarray:
+    """Run the gates of `gl` in order over an array whose rows are indexed by
+    the qubit string: a length-2^N state or a (2^N, k) matrix.  No size cap."""
+    out = np.array(amps, dtype=np.complex128)
+    if out.shape[:1] != (1 << gl.N,):
+        raise ValueError(f"expected {1 << gl.N} rows for N={gl.N}, got shape {out.shape}")
+    for g in gl.gates:
+        out = _apply_gate_rows(out, g)
+    return out
+
+
 def circuit_to_matrix(gl: GateList) -> np.ndarray:
     """Dense matrix of a gate list (ordered product of gate embeddings)."""
     if gl.N > DENSE_CAP_N:
         raise ValueError(f"dense circuit evaluation capped at N={DENSE_CAP_N}, got {gl.N}")
-    mat = np.eye(1 << gl.N, dtype=np.complex128)
-    for g in gl.gates:
-        mat = _apply_gate_rows(mat, g)
-    return _check_unitary(mat, 1e-10, "circuit matrix")
+    return _check_unitary(apply_circuit(np.eye(1 << gl.N), gl), 1e-10, "circuit matrix")

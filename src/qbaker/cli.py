@@ -28,13 +28,8 @@ from .analysis import (
     max_contiguous_cut_entropy,
     position_support,
 )
-from .bakermap import (
-    DENSE_CAP_N,
-    apply_baker_fast,
-    baker_composed,
-    emit_circuit,
-    iterate,
-)
+from .bakermap import DENSE_CAP_N, FAST_CAP_N, baker_composed, emit_circuit, iterate
+from .bakermap import apply_baker_fast  # noqa: F401  perfbench/tracing.py patches this name
 from .classical import label_shift
 from .lattice import Dimensions, DotLabel
 from .qfourier import (
@@ -48,9 +43,7 @@ from .qfourier import (
     random_product_state,
     random_state,
 )
-from .verify import DEFAULT_SEED, _check_seed, best_time, run_all
-
-FAST_CAP = 20
+from .verify import DEFAULT_SEED, _check_seed, run_all, time_fast_vs_dense
 
 
 def _fmt(x: float) -> str:
@@ -162,8 +155,8 @@ def cmd_evolve(args, parser) -> int:
             parser.error("--random-product needs --N")
         state = random_product_state(args.N, np.random.default_rng(_check_seed(args.seed)))
     N = state.N
-    if N > FAST_CAP:
-        parser.error(f"evolve is capped at N={FAST_CAP}, got N={N}")
+    if N > FAST_CAP_N:
+        parser.error(f"evolve is capped at N={FAST_CAP_N}, got N={N}")
     if args.n is None and label is None:
         parser.error("--n is needed unless --label supplies the map index")
     map_index = args.n if args.n is not None else label.n
@@ -262,22 +255,17 @@ def cmd_bench(args, parser) -> int:
     rng = np.random.default_rng(_check_seed(args.seed))
     lines = [f"# seed={args.seed}", "N,n,dense_ms,fast_ms,speedup,max_abs_err"]
     for N in args.N:
-        if N > FAST_CAP:
-            parser.error(f"bench is capped at N={FAST_CAP}, got N={N}")
+        if N > FAST_CAP_N:
+            parser.error(f"bench is capped at N={FAST_CAP_N}, got N={N}")
         n = min(args.n, N)
-        state = random_state(N, rng)
-        apply_baker_fast(state, n)  # warm caches before timing
-        fast_t = best_time(lambda: apply_baker_fast(state, n), args.reps)
-        if N <= DENSE_CAP_N:
-            dense = baker_composed(Dimensions(N), n)
-            dense_t = best_time(lambda: dense @ state.amps, args.reps)
-            err = float(np.abs(apply_baker_fast(state, n).amps - dense @ state.amps).max())
+        fast_t, dense_t, err = time_fast_vs_dense(random_state(N, rng), n, args.reps)
+        if dense_t is None:
+            lines.append(f"{N},{n},,{_fmt(fast_t * 1e3)},,")
+        else:
             lines.append(
                 f"{N},{n},{_fmt(dense_t * 1e3)},{_fmt(fast_t * 1e3)},"
                 f"{_fmt(dense_t / fast_t)},{_fmt(err)}"
             )
-        else:
-            lines.append(f"{N},{n},,{_fmt(fast_t * 1e3)},,")
     _write("\n".join(lines) + "\n", args.out)
     return 0
 

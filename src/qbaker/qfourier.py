@@ -17,7 +17,8 @@ where W_M is the ordinary DFT with kernel exp(+2 pi i x a / M)/sqrt(M).  The
 diagonals split into single-qubit phases (x is a sum of bit-weighted powers of
 two), and W_M is numpy's FFT along the last axis (np.fft.ifft with
 norm="ortho"; np.fft.fft for the inverse), so one apply costs O(D*(N-n)).
-The same factorization drives the gate-level lowering in the circuit module.
+The same factorization, with W_M spelled out as Hadamards, controlled phases
+and swaps, drives the gate-level lowering in `bakermap.emit_circuit`.
 
 Dense matrices are plain complex ndarrays; states are thin immutable wrappers
 around a length-2^N amplitude vector with slot 1 the most significant qubit.
@@ -158,16 +159,16 @@ def apply_partial_transform(
     M = 1 << (state.N - n)
     psi = state.amps.reshape(1 << n, M)
     ladder = np.exp(1j * np.pi * np.arange(M) / M)
-    global_phase = np.exp(1j * np.pi / (2 * M))
+    scalar = np.exp(1j * np.pi / (2 * M))
     if direction == "inverse":
         ladder = ladder.conj()
-        global_phase = global_phase.conjugate()
+        scalar = scalar.conjugate()
     out = psi * ladder
     if M > 1:
         # W_M has kernel exp(+2 pi i x a / M)/sqrt(M), which is numpy's ifft
         dft = np.fft.ifft if direction == "forward" else np.fft.fft
         out = dft(out, axis=-1, norm="ortho")
-    out *= ladder * global_phase
+    out *= ladder * scalar
     return StateVector(N=state.N, amps=out.ravel())
 
 

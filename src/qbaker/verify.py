@@ -21,7 +21,10 @@ from .analysis import (
     max_contiguous_cut_entropy,
 )
 from .bakermap import (
+    DENSE_CAP_N,
+    FAST_CAP_N,
     apply_baker_fast,
+    apply_circuit,
     baker_composed,
     baker_from_basis_map,
     circuit_to_matrix,
@@ -116,6 +119,23 @@ def best_time(fn, reps: int = 5) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def time_fast_vs_dense(
+    state: StateVector, n: int, reps: int = 5
+) -> tuple[float, float | None, float | None]:
+    """(fast_s, dense_s, max_abs_err) for the n-th map on `state`: the best of
+    `reps` timed fast applies after one warm-up call, then, up to the dense
+    cap, the best of `reps` dense matvecs and the largest entrywise difference
+    of the two images.  Above the cap the last two are None."""
+    apply_baker_fast(state, n)  # warm caches before timing
+    fast_t = best_time(lambda: apply_baker_fast(state, n), reps)
+    if state.N > DENSE_CAP_N:
+        return fast_t, None, None
+    dense = baker_composed(Dimensions(state.N), n)
+    dense_t = best_time(lambda: dense @ state.amps, reps)
+    err = float(np.abs(apply_baker_fast(state, n).amps - dense @ state.amps).max())
+    return fast_t, dense_t, err
 
 
 # --- criteria ---------------------------------------------------------------
@@ -328,13 +348,7 @@ def check_fast_path(cap: int, seed: int) -> list[CheckResult]:
     out = [_max_result("11a fast apply vs dense matvec", worst, 1e-10)]
 
     if cap >= 12:
-        dims = Dimensions(12)
-        dense = baker_composed(dims, 1)
-        state = random_state(12, rng)
-        apply_baker_fast(state, 1)  # warm caches
-        dense_t = best_time(lambda: dense @ state.amps)
-        fast_t = best_time(lambda: apply_baker_fast(state, 1))
-        err = np.abs(apply_baker_fast(state, 1).amps - dense @ state.amps).max()
+        fast_t, dense_t, err = time_fast_vs_dense(random_state(12, rng), 1)
         out.append(
             _min_result(
                 "11b speedup at N=12", dense_t / fast_t, 10.0,
@@ -344,19 +358,17 @@ def check_fast_path(cap: int, seed: int) -> list[CheckResult]:
     else:
         out.append(_skip("11b speedup at N=12", 12, cap))
 
-    if cap >= 20:
-        state = random_state(20, rng)
+    name = f"11c one N={FAST_CAP_N} step under 5 s"
+    if cap >= FAST_CAP_N:
+        state = random_state(FAST_CAP_N, rng)
         t0 = time.perf_counter()
         result = apply_baker_fast(state, 1)
         elapsed = time.perf_counter() - t0
         out.append(
-            _max_result(
-                "11c one N=20 step under 5 s", elapsed, 5.0,
-                f"norm drift {abs(result.norm() - 1.0):.2e}",
-            )
+            _max_result(name, elapsed, 5.0, f"norm drift {abs(result.norm() - 1.0):.2e}")
         )
     else:
-        out.append(_skip("11c one N=20 step under 5 s", 20, cap))
+        out.append(_skip(name, FAST_CAP_N, cap))
     return out
 
 
@@ -399,6 +411,28 @@ def check_circuit_lowering(cap: int) -> list[CheckResult]:
     return out
 
 
+def check_circuit_vs_fast(cap: int, seed: int) -> list[CheckResult]:
+    """13. The lowered circuit run on a random state matches the fast apply to
+    1e-10 past the dense cap: every n at N = 16, and n = 1 and n = N (the
+    closed-form branch) at N = 20."""
+    rng = np.random.default_rng([seed, 13])
+    out = []
+    for sub, N, ns in (("a", 16, range(1, 17)), ("b", FAST_CAP_N, (1, FAST_CAP_N))):
+        name = f"13{sub} circuit vs fast apply at N={N}"
+        if cap < N:
+            out.append(_skip(name, N, cap))
+            continue
+        state = random_state(N, rng)
+        worst, where = 0.0, ""
+        for n in ns:
+            got = apply_circuit(state.amps, emit_circuit(Dimensions(N), n))
+            diff = np.abs(got - apply_baker_fast(state, n).amps).max()
+            if diff >= worst:
+                worst, where = diff, f"worst at n={n}"
+        out.append(_max_result(name, worst, 1e-10, where))
+    return out
+
+
 def run_all(
     max_n: int | None = None, seed: int = DEFAULT_SEED, perturb: float = 0.0
 ) -> list[CheckResult]:
@@ -406,7 +440,7 @@ def run_all(
     if max_n is not None and max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
     _check_seed(seed)  # reject a bad seed before any criterion runs
-    cap = 20 if max_n is None else max_n
+    cap = FAST_CAP_N if max_n is None else max_n
     results: list[CheckResult] = []
     results += check_unitarity(cap, perturb)
     results += check_boundary_identities(cap)
@@ -420,4 +454,5 @@ def run_all(
     results += check_classical_oracle(cap, seed)
     results += check_fast_path(cap, seed)
     results += check_circuit_lowering(cap)
+    results += check_circuit_vs_fast(cap, seed)
     return results

@@ -7,12 +7,14 @@ come out of `qbaker verify`).
 import pytest
 
 from qbaker import verify
+from qbaker.bakermap import FAST_CAP_N
 from qbaker.verify import (
     DEFAULT_SEED,
     check_b1_reduction,
     check_bn_structure,
     check_boundary_identities,
     check_circuit_lowering,
+    check_circuit_vs_fast,
     check_classical_oracle,
     check_displacement_algebra,
     check_dot_shift_law,
@@ -24,7 +26,7 @@ from qbaker.verify import (
     run_all,
 )
 
-FULL = 20  # no restriction: every sub-check runs at its stated size
+FULL = FAST_CAP_N  # no restriction: every sub-check runs at its stated size
 
 
 def _report(results):
@@ -83,6 +85,12 @@ def test_c11_fast_path():
 
 def test_c12_circuit_lowering():
     _report(check_circuit_lowering(FULL))
+
+
+def test_c13_circuit_vs_fast_apply():
+    results = check_circuit_vs_fast(FULL, DEFAULT_SEED)
+    assert [r.skipped for r in results] == [False, False]
+    _report(results)
 
 
 @pytest.mark.parametrize("max_n,seed", [(0, DEFAULT_SEED), (-3, DEFAULT_SEED), (2, -1)])

@@ -5,8 +5,8 @@ from qbaker.analysis import max_contiguous_cut_entropy
 from qbaker.bakermap import (
     Gate,
     GateList,
-    _apply_gate_rows,
     apply_baker_fast,
+    apply_circuit,
     baker_composed,
     baker_from_basis_map,
     circuit_to_matrix,
@@ -247,6 +247,8 @@ def test_gate_validation():
     with pytest.raises(ValueError):
         Gate(kind="twist", targets=(1,))
     with pytest.raises(ValueError):
+        Gate(kind="global_phase", targets=(), angle=0.5)  # the phase lives in a gate
+    with pytest.raises(ValueError):
         GateList(N=1, gates=(Gate.swap(1, 2),))  # target beyond N
 
 
@@ -276,8 +278,22 @@ def test_gate_embeddings_against_kron():
     got = circuit_to_matrix(GateList(N=2, gates=(Gate.controlled_phase(1, 2, theta),)))
     assert np.abs(got - np.diag([1, 1, 1, np.exp(1j * theta)])).max() < 1e-14
 
-    got = circuit_to_matrix(GateList(N=1, gates=(Gate.global_phase(theta),)))
-    assert np.abs(got - np.exp(1j * theta) * np.eye(2)).max() < 1e-14
+
+def test_apply_circuit_on_states_and_matrices():
+    gl = emit_circuit(Dimensions(3), 1)
+    state = random_state(3, np.random.default_rng(7))
+    dense = circuit_to_matrix(gl)
+    assert np.abs(apply_circuit(state.amps, gl) - dense @ state.amps).max() < 1e-14
+    block = np.stack([state.amps, basis_state(3, 5).amps], axis=1)
+    assert np.abs(apply_circuit(block, gl) - dense @ block).max() < 1e-14
+    # a real input comes back complex, and the input is left as it was
+    real = np.eye(8)[:, 0]
+    out = apply_circuit(real, gl)
+    assert out.dtype == np.complex128 and np.abs(out - dense[:, 0]).max() < 1e-14
+    assert np.array_equal(real, np.eye(8)[:, 0])
+    for bad in (np.zeros(4), np.zeros((16, 2)), np.complex128(1.0)):
+        with pytest.raises(ValueError):
+            apply_circuit(bad, gl)
 
 
 # --- lowering ----------------------------------------------------------------
@@ -313,17 +329,6 @@ def test_emit_circuit_gate_count_quadratic():
     for N in range(1, 9):
         for n in range(1, N + 1):
             assert len(emit_circuit(Dimensions(N), n)) <= 3 * N**2
-
-
-def test_apply_fast_matches_circuit_on_a_state_at_n16():
-    # the circuit builds its transforms from gates, not from numpy's FFT
-    dims = Dimensions(16)
-    state = random_state(16, np.random.default_rng(16))
-    for n in range(1, 17):
-        column = state.amps.reshape(-1, 1)
-        for gate in emit_circuit(dims, n).gates:
-            column = _apply_gate_rows(column, gate)
-        assert np.abs(column.ravel() - apply_baker_fast(state, n).amps).max() < 1e-10, n
 
 
 @pytest.mark.parametrize("N,draws", [(6, 20), (16, 2)])
