@@ -6,7 +6,8 @@ string one place left (equivalently, moves the dot one place right).  Only a
 finite window around the dot is stored; unstored symbols decode as 0, and a
 shift that would need a bit beyond the stored right window is refused rather
 than fabricated.  All arithmetic is exact, which makes this module the oracle
-for the quantum label dynamics.
+for the quantum label dynamics: `label_shift` is `shift` on a dot label's
+embedded window, read back as a label.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import Bits, DotLabel, _as_bits
+from .lattice import Bits, DotLabel, _as_bits, _dotted_text, _parse_dotted
 
 
 @dataclass(frozen=True)
@@ -33,21 +34,12 @@ class SymbolString:
         object.__setattr__(self, "right", _as_bits(self.right))
 
     def text(self) -> str:
-        before = "".join(str(b) for b in reversed(self.left))
-        after = "".join(str(b) for b in self.right)
-        return f"{before}.{after}"
+        return _dotted_text(self.left, self.right)
 
     @classmethod
     def parse(cls, text: str) -> "SymbolString":
-        if text.count(".") != 1:
-            raise ValueError(f"symbol string needs exactly one dot: {text!r}")
-        before, after = text.split(".")
-        if not set(before + after) <= {"0", "1"}:
-            raise ValueError(f"symbol string may contain only 0/1 and a dot: {text!r}")
-        return cls(
-            left=tuple(int(c) for c in reversed(before)),
-            right=tuple(int(c) for c in after),
-        )
+        left, right = _parse_dotted(text, "symbol string")
+        return cls(left=left, right=right)
 
     def __str__(self) -> str:
         return self.text()
@@ -87,16 +79,13 @@ def geometric_baker(q: Fraction, p: Fraction) -> tuple[Fraction, Fraction]:
 def label_shift(label: DotLabel) -> DotLabel:
     """Move the dot one place right: ...a_1.x_1 x_2... -> ...a_1 x_1.x_2...
 
-    The consumed position bit becomes the new innermost momentum bit.
+    This is `shift` on the embedded window, read back as a label: the
+    consumed position bit becomes the new innermost momentum bit.
     """
     if label.n == 0:
         raise ValueError("cannot shift: no position bit left to consume")
-    return DotLabel(
-        N=label.N,
-        n=label.n - 1,
-        xbits=label.xbits[1:],
-        abits=(label.xbits[0],) + label.abits,
-    )
+    s = shift(embed_label(label))
+    return DotLabel(N=label.N, n=label.n - 1, xbits=s.right, abits=s.left)
 
 
 def embed_label(label: DotLabel) -> SymbolString:

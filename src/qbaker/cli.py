@@ -57,6 +57,11 @@ def _write(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
+def _check_fast_cap(parser, command: str, N: int) -> None:
+    if Dimensions(N).N > FAST_CAP_N:
+        parser.error(f"{command} is capped at N={FAST_CAP_N}, got N={N}")
+
+
 def _target_matrix(parser, target: str, N: int, n: int | None) -> np.ndarray:
     if N > DENSE_CAP_N:
         parser.error(f"dense commands are capped at N={DENSE_CAP_N}, got N={N}")
@@ -99,6 +104,7 @@ def cmd_matrix(args, parser) -> int:
 
 def cmd_state(args, parser) -> int:
     label = DotLabel.parse(args.label)
+    _check_fast_cap(parser, "state", label.N)
     state = dot_state_product(label) if args.route == "product" else dot_state_transform(label)
     if args.format == "csv":
         lines = ["index,re,im"]
@@ -136,27 +142,34 @@ def _read_state_file(parser, path: str) -> StateVector:
     return StateVector(N=size.bit_length() - 1, amps=amps)
 
 
+def _evolve_input(args, parser, label: DotLabel | None) -> StateVector:
+    """evolve's initial state.  A label or --N passed the cap before this
+    runs; a state file's N is known only once it is read."""
+    if label is not None:
+        return dot_state_transform(label)
+    if args.random_product:
+        return random_product_state(args.N, np.random.default_rng(args.seed))
+    state = _read_state_file(parser, args.state_file)
+    if args.N is not None and args.N != state.N:
+        parser.error(f"--N {args.N} contradicts state file with N={state.N}")
+    _check_fast_cap(parser, "evolve", state.N)
+    return state
+
+
 def cmd_evolve(args, parser) -> int:
     given = [args.label is not None, args.state_file is not None, args.random_product]
     if sum(given) != 1:
         parser.error("give exactly one of --label, --state-file, --random-product")
-    label = None
-    if args.label is not None:
-        label = DotLabel.parse(args.label)
-        if args.N is not None and args.N != label.N:
-            parser.error(f"--N {args.N} contradicts label with N={label.N}")
-        state = dot_state_transform(label)
-    elif args.state_file is not None:
-        state = _read_state_file(parser, args.state_file)
-        if args.N is not None and args.N != state.N:
-            parser.error(f"--N {args.N} contradicts state file with N={state.N}")
-    else:
+    label = DotLabel.parse(args.label) if args.label is not None else None
+    if label is not None and args.N is not None and args.N != label.N:
+        parser.error(f"--N {args.N} contradicts label with N={label.N}")
+    if args.random_product:
         if args.N is None:
             parser.error("--random-product needs --N")
-        state = random_product_state(args.N, np.random.default_rng(_check_seed(args.seed)))
-    N = state.N
-    if N > FAST_CAP_N:
-        parser.error(f"evolve is capped at N={FAST_CAP_N}, got N={N}")
+        _check_seed(args.seed)
+    N = label.N if label is not None else args.N
+    if N is not None:
+        _check_fast_cap(parser, "evolve", N)
     if args.n is None and label is None:
         parser.error("--n is needed unless --label supplies the map index")
     map_index = args.n if args.n is not None else label.n
@@ -175,11 +188,12 @@ def cmd_evolve(args, parser) -> int:
                     matched = candidate
             label = matched
         support = position_support(s, args.tol).size
-        entropy = max_contiguous_cut_entropy(s) if N >= 2 else 0.0
+        entropy = max_contiguous_cut_entropy(s) if s.N >= 2 else 0.0
         text = label.text() if label is not None else ""
         lines.append(f"{step},{_fmt(s.norm())},{support},{_fmt(entropy)},{text}")
 
-    iterate(state, map_index, args.steps, observe=row)
+    # no local keeps the initial state, so iterate can drop it after step 1
+    iterate(_evolve_input(args, parser, label), map_index, args.steps, observe=row)
     _write("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -196,6 +210,7 @@ def cmd_spectrum(args, parser) -> int:
 
 def cmd_localize(args, parser) -> int:
     label = DotLabel.parse(args.label)
+    _check_fast_cap(parser, "localize", label.N)
     report = check_strict_localization(label)
     payload = {
         "label": label.text(),
@@ -252,11 +267,11 @@ def cmd_verify(args, parser) -> int:
 def cmd_bench(args, parser) -> int:
     if args.reps < 1:
         parser.error("--reps must be at least 1")
+    for N in args.N:
+        _check_fast_cap(parser, "bench", N)
     rng = np.random.default_rng(_check_seed(args.seed))
     lines = [f"# seed={args.seed}", "N,n,dense_ms,fast_ms,speedup,max_abs_err"]
     for N in args.N:
-        if N > FAST_CAP_N:
-            parser.error(f"bench is capped at N={FAST_CAP_N}, got N={N}")
         n = min(args.n, N)
         fast_t, dense_t, err = time_fast_vs_dense(random_state(N, rng), n, args.reps)
         if dense_t is None:

@@ -31,6 +31,21 @@ def _as_bits(bits: Sequence[int]) -> Bits:
     return out
 
 
+def _dotted_text(inner: Bits, right: Bits) -> str:
+    """The `aaa.xxx` text form: the inner bits reversed, a dot, the right bits."""
+    return "".join(map(str, reversed(inner))) + "." + "".join(map(str, right))
+
+
+def _parse_dotted(text: str, noun: str) -> tuple[Bits, Bits]:
+    """(inner bits, right bits) of the `aaa.xxx` form; errors name the noun."""
+    if text.count(".") != 1:
+        raise ValueError(f"{noun} needs exactly one dot: {text!r}")
+    before, after = text.split(".")
+    if not set(before + after) <= {"0", "1"}:
+        raise ValueError(f"{noun} may contain only 0/1 and a dot: {text!r}")
+    return tuple(int(c) for c in reversed(before)), tuple(int(c) for c in after)
+
+
 def _qubit_count(count, least: int = 1) -> int:
     """count as a plain int >= least; any integer type but bool is accepted."""
     try:
@@ -127,23 +142,15 @@ class DotLabel:
         return bits_to_index(self.xbits + self.abits)
 
     def text(self) -> str:
-        left = "".join(str(b) for b in reversed(self.abits))
-        right = "".join(str(b) for b in self.xbits)
-        return f"{left}.{right}"
+        return _dotted_text(self.abits, self.xbits)
 
     @classmethod
     def parse(cls, text: str) -> "DotLabel":
         """Parse the `aaa.xxx` text form; round-trips with text() exactly."""
-        if text.count(".") != 1:
-            raise ValueError(f"dot label needs exactly one dot: {text!r}")
-        left, right = text.split(".")
-        if not set(left + right) <= {"0", "1"}:
-            raise ValueError(f"dot label may contain only 0/1 and a dot: {text!r}")
-        if not left and not right:
+        abits, xbits = _parse_dotted(text, "dot label")
+        if not abits and not xbits:
             raise ValueError("dot label must contain at least one bit")
-        xbits = tuple(int(c) for c in right)
-        abits = tuple(int(c) for c in reversed(left))
-        return cls(N=len(left) + len(right), n=len(right), xbits=xbits, abits=abits)
+        return cls(N=len(abits) + len(xbits), n=len(xbits), xbits=xbits, abits=abits)
 
     def __str__(self) -> str:
         return self.text()

@@ -85,7 +85,7 @@ def test_label_shift_examples(text, expected):
 
 
 def test_label_shift_exhausted():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^cannot shift: no position bit left to consume$"):
         label_shift(DotLabel.parse("10."))
 
 
@@ -107,7 +107,11 @@ def test_symbol_string_text_roundtrip():
 
 
 def test_symbol_string_parse_rejects():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^symbol string needs exactly one dot: '0101'$"):
         SymbolString.parse("0101")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^symbol string needs exactly one dot: '0\.1\.0'$"):
+        SymbolString.parse("0.1.0")
+    with pytest.raises(
+        ValueError, match=r"^symbol string may contain only 0/1 and a dot: '0\.x1'$"
+    ):
         SymbolString.parse("0.x1")

@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
+from qbaker import cli
 from qbaker.bakermap import baker_composed, last_qubit_unitary
 from qbaker.cli import main
 from qbaker.lattice import Dimensions
@@ -252,6 +254,60 @@ def test_rejected_arguments_exit_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err.splitlines()
     assert err[-1].startswith("qbaker: error: ")
     assert not any("Traceback" in line for line in err)
+
+
+LABEL_21 = "0" * 10 + "." + "1" * 11  # N = 21: one state would take 32 MiB
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["state", "--label", LABEL_21, "--format", "json"],
+        ["state", "--label", LABEL_21, "--route", "product"],
+        ["localize", "--label", LABEL_21],
+        ["evolve", "--label", LABEL_21, "--steps", "1"],
+        ["evolve", "--random-product", "--N", "21", "--n", "1", "--steps", "1"],
+        ["bench", "--N", "4", "21"],
+    ],
+)
+def test_over_cap_inputs_exit_2_before_building(monkeypatch, capsys, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a state was built or timed before the size cap")
+
+    for name in ("dot_state_transform", "dot_state_product", "check_strict_localization",
+                 "random_product_state", "random_state", "time_fast_vs_dense"):
+        monkeypatch.setattr(cli, name, refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    line = capsys.readouterr().err.splitlines()[-1]
+    assert line == f"qbaker: error: {argv[0]} is capped at N=20, got N=21"
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="before 3.11 the caller's stack holds a call's arguments until it returns",
+)
+def test_evolve_releases_the_initial_state(monkeypatch, tmp_path):
+    initial = []
+    dead_at_step = []
+    build, support = cli.dot_state_transform, cli.position_support
+
+    def build_once(label):
+        state = build(label)
+        if not initial:
+            initial.append(weakref.ref(state))
+        return state
+
+    def support_and_look(state, tol):
+        dead_at_step.append(initial[0]() is None)
+        return support(state, tol)
+
+    monkeypatch.setattr(cli, "dot_state_transform", build_once)
+    monkeypatch.setattr(cli, "position_support", support_and_look)
+    out = tmp_path / "run.csv"
+    assert main(["evolve", "--label", "0110.10", "--steps", "2", "--out", str(out)]) == 0
+    assert dead_at_step == [False, True, True]
 
 
 def test_negative_seed_error_quotes_the_seed(tmp_path, capsys):

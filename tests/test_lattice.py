@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -146,9 +147,20 @@ def test_label_parse_examples():
     assert DotLabel.parse("1.").n == 0
 
 
-@pytest.mark.parametrize("bad", ["0110", "0.1.0", "0a.1", "."])
-def test_label_parse_rejects(bad):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        pytest.param(bad, message, id=bad)
+        for bad, message in [
+            ("0110", "dot label needs exactly one dot: '0110'"),
+            ("0.1.0", "dot label needs exactly one dot: '0.1.0'"),
+            ("0a.1", "dot label may contain only 0/1 and a dot: '0a.1'"),
+            (".", "dot label must contain at least one bit"),
+        ]
+    ],
+)
+def test_label_parse_rejects(bad, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         DotLabel.parse(bad)
 
 
