@@ -179,10 +179,10 @@ def apply_baker_fast(state: StateVector, n: int) -> StateVector:
     if n == state.N:
         shifted = _cyclic_rows(state.amps, state.N, state.N)
         out = (shifted.reshape(-1, 2) @ last_qubit_unitary().T).ravel()
-        return StateVector(N=state.N, amps=out)
+        return StateVector._adopt(state.N, out)
     mid = apply_partial_transform(state, n, "inverse")
-    rotated = _cyclic_rows(mid.amps, state.N, n)
-    return apply_partial_transform(StateVector(N=state.N, amps=rotated), n - 1, "forward")
+    rotated = StateVector._adopt(state.N, _cyclic_rows(mid.amps, state.N, n))
+    return apply_partial_transform(rotated, n - 1, "forward")
 
 
 def iterate(

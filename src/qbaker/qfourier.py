@@ -15,8 +15,11 @@ For fast application the kernel is factorized as
 
 where W_M is the ordinary DFT with kernel exp(+2 pi i x a / M)/sqrt(M).  The
 diagonals split into single-qubit phases (x is a sum of bit-weighted powers of
-two), and W_M is numpy's FFT along the last axis (np.fft.ifft with
-norm="ortho"; np.fft.fft for the inverse), so one apply costs O(D*(N-n)).
+two), so each is a Kronecker product; the fast apply builds it from two factors,
+one over the high half of the bits and one over the low half, at the cost of
+about 2*sqrt(M) complex exponentials.  W_M is numpy's FFT along the last axis
+(np.fft.ifft with norm="ortho"; np.fft.fft for the inverse), so one apply costs
+O(D*(N-n)).
 The same factorization, with W_M spelled out as Hadamards, controlled phases
 and swaps, drives the gate-level lowering in `bakermap.emit_circuit`.
 
@@ -45,8 +48,21 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
+        self._freeze(np.array(self.amps, dtype=np.complex128, copy=True))
+
+    @classmethod
+    def _adopt(cls, N: int, amps: np.ndarray) -> "StateVector":
+        """Wrap an array the caller has just computed and nothing else will
+        write to: the constructor's checks and read-only flag, without its
+        copy."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "N", N)
+        state._freeze(np.asarray(amps, dtype=np.complex128))
+        return state
+
+    def _freeze(self, arr: np.ndarray) -> None:
         object.__setattr__(self, "N", _qubit_count(self.N))
-        arr = np.array(self.amps, dtype=np.complex128, copy=True).ravel()
+        arr = arr.ravel()
         if arr.size != (1 << self.N):
             raise ValueError(
                 f"amplitude vector of length {arr.size} does not match N={self.N}"
@@ -149,27 +165,41 @@ def apply_partial_transform(
     Matches dense multiplication by the kron-structured matrix but costs
     O(D*(N-n)): the leading n qubits index independent blocks, and the
     antiperiodic kernel runs per block as phase ladder, numpy FFT of length
-    2^(N-n), phase ladder, global phase.  For n = N the block has length one
-    and the FFT is skipped.
+    2^(N-n), phase ladder, global phase.  The ladder is the two-factor product
+    of `_phase_ladder`, built once per call; the global phase is multiplied
+    into it in place before its second use.  For n = N the block has length
+    one and the FFT is skipped.  The result owns fresh, read-only amplitudes.
     """
     if not 0 <= n <= state.N:
         raise ValueError(f"partial-transform index n={n} out of range [0, {state.N}]")
     if direction not in ("forward", "inverse"):
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    M = 1 << (state.N - n)
-    psi = state.amps.reshape(1 << n, M)
-    ladder = np.exp(1j * np.pi * np.arange(M) / M)
-    scalar = np.exp(1j * np.pi / (2 * M))
-    if direction == "inverse":
-        ladder = ladder.conj()
-        scalar = scalar.conjugate()
-    out = psi * ladder
-    if M > 1:
+    m = state.N - n
+    sign = 1 if direction == "forward" else -1
+    ladder = _phase_ladder(m, sign)
+    out = state.amps.reshape(-1, 1 << m) * ladder
+    if m > 0:
         # W_M has kernel exp(+2 pi i x a / M)/sqrt(M), which is numpy's ifft
         dft = np.fft.ifft if direction == "forward" else np.fft.fft
         out = dft(out, axis=-1, norm="ortho")
-    out *= ladder * scalar
-    return StateVector(N=state.N, amps=out.ravel())
+    ladder *= np.exp(sign * 1j * np.pi / (2 << m))
+    out *= ladder
+    return StateVector._adopt(state.N, out)
+
+
+def _phase_ladder(m: int, sign: int) -> np.ndarray:
+    """The diagonal e^{sign i pi k/M}, k < M = 2^m, as a Kronecker product.
+
+    Writing k = c*F + f with F = 2^(m//2) splits each phase into a coarse
+    factor e^{sign i pi c/C} (C = M/F) and a fine one e^{sign i pi f/M}, so
+    only C + F ~ 2 sqrt(M) complex exponentials are evaluated.
+    """
+    fine = 1 << (m // 2)
+    coarse = 1 << (m - m // 2)
+    return np.multiply.outer(
+        np.exp(sign * 1j * np.pi * np.arange(coarse) / coarse),
+        np.exp(sign * 1j * np.pi * np.arange(fine) / (coarse * fine)),
+    ).ravel()
 
 
 def dot_state_transform(label: DotLabel) -> StateVector:

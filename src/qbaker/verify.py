@@ -9,6 +9,7 @@ is reproducible from (seed, max_n) alone.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -67,6 +68,9 @@ class CheckResult:
     sense: str = "max<="  # or "min>="
     details: str = ""
     skipped: bool = False
+    # wall time of the criterion that produced this check, set by run_all;
+    # the sub-checks of one criterion share it
+    elapsed_s: float | None = None
 
     @property
     def margin(self) -> float:
@@ -84,6 +88,7 @@ class CheckResult:
             "sense": self.sense,
             "margin": self.margin,
             "details": self.details,
+            "elapsed_s": self.elapsed_s,
         }
 
     def line(self) -> str:
@@ -441,18 +446,26 @@ def run_all(
         raise ValueError(f"max_n must be at least 1, got {max_n}")
     _check_seed(seed)  # reject a bad seed before any criterion runs
     cap = FAST_CAP_N if max_n is None else max_n
+    criteria = (
+        functools.partial(check_unitarity, cap, perturb),
+        functools.partial(check_boundary_identities, cap),
+        functools.partial(check_b1_reduction, cap),
+        functools.partial(check_route_equivalence, cap),
+        functools.partial(check_dot_shift_law, cap),
+        functools.partial(check_product_form, cap),
+        functools.partial(check_bn_structure, cap, seed),
+        functools.partial(check_displacement_algebra, cap),
+        functools.partial(check_localization, cap),
+        functools.partial(check_classical_oracle, cap, seed),
+        functools.partial(check_fast_path, cap, seed),
+        functools.partial(check_circuit_lowering, cap),
+        functools.partial(check_circuit_vs_fast, cap, seed),
+    )
     results: list[CheckResult] = []
-    results += check_unitarity(cap, perturb)
-    results += check_boundary_identities(cap)
-    results += check_b1_reduction(cap)
-    results += check_route_equivalence(cap)
-    results += check_dot_shift_law(cap)
-    results += check_product_form(cap)
-    results += check_bn_structure(cap, seed)
-    results += check_displacement_algebra(cap)
-    results += check_localization(cap)
-    results += check_classical_oracle(cap, seed)
-    results += check_fast_path(cap, seed)
-    results += check_circuit_lowering(cap)
-    results += check_circuit_vs_fast(cap, seed)
+    for criterion in criteria:
+        batch: list[CheckResult] = []
+        elapsed = best_time(lambda: batch.extend(criterion()), reps=1)
+        for r in batch:
+            r.elapsed_s = elapsed
+        results += batch
     return results

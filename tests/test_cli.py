@@ -345,6 +345,7 @@ def test_verify_restricted_passes(tmp_path):
     assert payload["all_passed"] is True
     assert payload["seed"] == 20990
     assert any(c["skipped"] for c in payload["checks"])  # bench sizes out of reach
+    assert all(c["elapsed_s"] >= 0.0 for c in payload["checks"])
 
 
 def test_verify_perturbation_fails():

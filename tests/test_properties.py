@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbaker.bakermap import apply_baker_fast, apply_circuit, emit_circuit
+from qbaker.bakermap import apply_baker_fast, apply_circuit, baker_composed, emit_circuit
 from qbaker.classical import SymbolString, decode, geometric_baker, shift
 from qbaker.lattice import Dimensions, DotLabel
 from qbaker.qfourier import random_state
@@ -61,3 +61,12 @@ def test_circuit_matches_fast_apply(case):
     state = random_state(N, np.random.default_rng(seed))
     got = apply_circuit(state.amps, emit_circuit(Dimensions(N), n))
     assert np.abs(got - apply_baker_fast(state, n).amps).max() < 1e-12
+
+
+@PROPERTY
+@given(map_cases())
+def test_fast_apply_matches_composed_matrix(case):
+    N, n, seed = case
+    state = random_state(N, np.random.default_rng(seed))
+    want = baker_composed(Dimensions(N), n) @ state.amps
+    assert np.abs(apply_baker_fast(state, n).amps - want).max() < 1e-12

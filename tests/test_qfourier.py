@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from qbaker.bakermap import apply_baker_fast
 from qbaker.lattice import Dimensions, DotLabel, iter_labels
 from qbaker.qfourier import (
     StateVector,
+    _phase_ladder,
     antiperiodic_dft,
     apply_partial_transform,
     basis_state,
@@ -154,6 +156,51 @@ def test_apply_validates_arguments():
         apply_partial_transform(state, 3)
     with pytest.raises(ValueError):
         apply_partial_transform(state, 1, "sideways")
+
+
+@pytest.mark.parametrize("m", range(21))
+def test_factored_ladder_matches_direct_exponentials(m):
+    M = 1 << m
+    for sign in (1, -1):
+        direct = np.exp(sign * 1j * np.pi * np.arange(M) / M)
+        for size in (m, np.int64(m)):
+            assert np.abs(_phase_ladder(size, sign) - direct).max() < 1e-15
+
+
+def test_apply_accepts_numpy_integer_index():
+    state = random_state(6, np.random.default_rng(3))
+    for n in range(7):
+        for direction in ("forward", "inverse"):
+            want = apply_partial_transform(state, n, direction).amps
+            got = apply_partial_transform(state, np.int64(n), direction).amps
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_fast_applies_return_fresh_frozen_states(n):
+    state = random_state(8, np.random.default_rng(n))
+    before = state.amps.copy()
+    outs = [
+        apply_partial_transform(state, n),
+        apply_partial_transform(state, n, "inverse"),
+        apply_baker_fast(state, n),
+    ]
+    for out in outs:
+        assert not out.amps.flags.writeable
+        assert not np.shares_memory(out.amps, state.amps)
+    assert np.array_equal(state.amps, before)
+
+
+def test_adopted_state_keeps_the_constructor_checks():
+    amps = np.zeros(4, dtype=np.complex128)
+    state = StateVector._adopt(np.int64(2), amps)
+    assert type(state.N) is int
+    assert np.shares_memory(state.amps, amps)
+    assert not state.amps.flags.writeable
+    with pytest.raises(ValueError):
+        StateVector._adopt(3, amps)
+    with pytest.raises(ValueError):
+        StateVector._adopt(True, np.zeros(2, dtype=np.complex128))
 
 
 # --- dot states ---------------------------------------------------------------
