@@ -283,9 +283,10 @@ def emit_circuit(dims: Dimensions, n: int) -> GateList:
 
 
 def _apply_gate_rows(mat: np.ndarray, gate: Gate) -> np.ndarray:
-    """Left-multiply `mat` by the embedding of `gate`.  The rows of `mat` are
-    indexed by the qubit string, so a reshaped view exposes each target slot
-    as an axis of length 2 and the gate acts on those axes alone."""
+    """Left-multiply `mat` by the embedding of `gate`, which may overwrite
+    `mat`.  The rows of `mat` are indexed by the qubit string, so a reshaped
+    view exposes each target slot as an axis of length 2 and the gate acts on
+    those axes alone."""
     if gate.kind == "single_qubit":
         shaped = mat.reshape(1 << (gate.targets[0] - 1), 2, -1)
         return np.einsum("ab,ibj->iaj", gate.matrix, shaped).reshape(mat.shape)
@@ -293,14 +294,15 @@ def _apply_gate_rows(mat: np.ndarray, gate: Gate) -> np.ndarray:
     view = (1 << (a - 1), 2, 1 << (b - a - 1), 2, -1)
     if gate.kind == "swap":
         return mat.reshape(view).swapaxes(1, 3).reshape(mat.shape)
-    out = mat.copy()
-    out.reshape(view)[:, 1, :, 1] *= np.exp(1j * gate.angle)
-    return out
+    shaped = mat.reshape(view)  # a copy, not a view, when mat is not C-ordered
+    shaped[:, 1, :, 1] *= np.exp(1j * gate.angle)
+    return shaped.reshape(mat.shape)
 
 
 def apply_circuit(amps: np.ndarray, gl: GateList) -> np.ndarray:
     """Run the gates of `gl` in order over an array whose rows are indexed by
-    the qubit string: a length-2^N state or a (2^N, k) matrix.  No size cap."""
+    the qubit string: a length-2^N state or a (2^N, k) matrix.  No size cap.
+    The entry copy is the only copy of `amps`; the gates may overwrite it."""
     out = np.array(amps, dtype=np.complex128)
     if out.shape[:1] != (1 << gl.N,):
         raise ValueError(f"expected {1 << gl.N} rows for N={gl.N}, got shape {out.shape}")

@@ -8,9 +8,11 @@ command line (seeded randomness, seed echoed).  Exit codes: 0 success,
 The library is the one home of argument ranges: a subcommand passes its
 flags straight to qbaker, and main turns any ValueError or OSError it raises
 into a usage error that quotes the library's message.  The CLI itself checks
-only its own policy: the size caps, which flags go together, and the state
-file's layout and norm.  A qbaker self-check failure (say, a kernel that is
-not unitary) therefore also exits 2 with its message.
+only its own policy: the size caps (`_check_cap`: N=12 for the dense `matrix`
+and `spectrum`, N=20 for every other command), which flags go together, and
+the state file's layout and norm.  A qbaker self-check failure (say, a kernel
+that is not unitary) therefore also exits 2 with its message.  Every JSON
+export writes a complex entry as an [re, im] pair of floats (`_pairs`).
 """
 
 from __future__ import annotations
@@ -57,23 +59,24 @@ def _write(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _check_fast_cap(parser, command: str, N: int) -> None:
-    if Dimensions(N).N > FAST_CAP_N:
-        parser.error(f"{command} is capped at N={FAST_CAP_N}, got N={N}")
+def _pairs(arr: np.ndarray) -> list:
+    return np.stack([arr.real, arr.imag], -1).tolist()
 
 
-def _target_matrix(parser, target: str, N: int, n: int | None) -> np.ndarray:
-    if N > DENSE_CAP_N:
-        parser.error(f"dense commands are capped at N={DENSE_CAP_N}, got N={N}")
-    dims = Dimensions(N)
+def _check_cap(parser, command: str, N: int, cap: int) -> None:
+    if Dimensions(N).N > cap:
+        parser.error(f"{command} is capped at N={cap}, got N={N}")
+
+
+def _target_matrix(parser, args) -> np.ndarray:
+    _check_cap(parser, args.command, args.N, DENSE_CAP_N)
+    dims, target = Dimensions(args.N), args.target
+    if target in ("G", "B") and args.n is None:
+        parser.error(f"--target {target} needs --n")
     if target == "G":
-        if n is None:
-            parser.error("--target G needs --n")
-        return partial_transform(dims, n)
+        return partial_transform(dims, args.n)
     if target == "B":
-        if n is None:
-            parser.error("--target B needs --n")
-        return baker_composed(dims, n)
+        return baker_composed(dims, args.n)
     if target == "U":
         return displacement_u(dims)
     if target == "V":
@@ -90,21 +93,16 @@ def _matrix_csv(mat: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _matrix_json(mat: np.ndarray) -> str:
-    nested = [[[z.real, z.imag] for z in row] for row in mat]
-    return json.dumps(nested) + "\n"
-
-
 def cmd_matrix(args, parser) -> int:
-    mat = _target_matrix(parser, args.target, args.N, args.n)
-    text = _matrix_csv(mat) if args.format == "csv" else _matrix_json(mat)
+    mat = _target_matrix(parser, args)
+    text = _matrix_csv(mat) if args.format == "csv" else json.dumps(_pairs(mat)) + "\n"
     _write(text, args.out)
     return 0
 
 
 def cmd_state(args, parser) -> int:
     label = DotLabel.parse(args.label)
-    _check_fast_cap(parser, "state", label.N)
+    _check_cap(parser, "state", label.N, FAST_CAP_N)
     state = dot_state_product(label) if args.route == "product" else dot_state_transform(label)
     if args.format == "csv":
         lines = ["index,re,im"]
@@ -112,7 +110,7 @@ def cmd_state(args, parser) -> int:
             lines.append(f"{j},{_fmt(z.real)},{_fmt(z.imag)}")
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps({"N": state.N, "amps": [[z.real, z.imag] for z in state.amps]}) + "\n"
+        text = json.dumps({"N": state.N, "amps": _pairs(state.amps)}) + "\n"
     _write(text, args.out)
     return 0
 
@@ -152,7 +150,7 @@ def _evolve_input(args, parser, label: DotLabel | None) -> StateVector:
     state = _read_state_file(parser, args.state_file)
     if args.N is not None and args.N != state.N:
         parser.error(f"--N {args.N} contradicts state file with N={state.N}")
-    _check_fast_cap(parser, "evolve", state.N)
+    _check_cap(parser, "evolve", state.N, FAST_CAP_N)
     return state
 
 
@@ -169,7 +167,7 @@ def cmd_evolve(args, parser) -> int:
         _check_seed(args.seed)
     N = label.N if label is not None else args.N
     if N is not None:
-        _check_fast_cap(parser, "evolve", N)
+        _check_cap(parser, "evolve", N, FAST_CAP_N)
     if args.n is None and label is None:
         parser.error("--n is needed unless --label supplies the map index")
     map_index = args.n if args.n is not None else label.n
@@ -199,8 +197,7 @@ def cmd_evolve(args, parser) -> int:
 
 
 def cmd_spectrum(args, parser) -> int:
-    mat = _target_matrix(parser, args.target, args.N, args.n)
-    report = eigenphases(mat)
+    report = eigenphases(_target_matrix(parser, args))
     lines = ["index,phase,spacing"]
     for i, (phase, gap) in enumerate(zip(report.phases, report.spacings)):
         lines.append(f"{i},{_fmt(phase)},{_fmt(gap)}")
@@ -210,7 +207,7 @@ def cmd_spectrum(args, parser) -> int:
 
 def cmd_localize(args, parser) -> int:
     label = DotLabel.parse(args.label)
-    _check_fast_cap(parser, "localize", label.N)
+    _check_cap(parser, "localize", label.N, FAST_CAP_N)
     report = check_strict_localization(label)
     payload = {
         "label": label.text(),
@@ -227,15 +224,14 @@ def cmd_localize(args, parser) -> int:
 def _gate_record(gate) -> dict:
     record: dict = {"kind": gate.kind, "targets": list(gate.targets)}
     if gate.matrix is not None:
-        record["matrix"] = [[[z.real, z.imag] for z in row] for row in gate.matrix]
+        record["matrix"] = _pairs(gate.matrix)
     if gate.angle is not None:
         record["angle"] = gate.angle
     return record
 
 
 def cmd_circuit(args, parser) -> int:
-    if args.N > DENSE_CAP_N:
-        parser.error(f"circuit lowering is capped at N={DENSE_CAP_N}, got N={args.N}")
+    _check_cap(parser, "circuit", args.N, FAST_CAP_N)
     gl = emit_circuit(Dimensions(args.N), args.n)
     payload = {"N": gl.N, "gates": [_gate_record(g) for g in gl.gates]}
     _write(json.dumps(payload, indent=2) + "\n", args.out)
@@ -268,7 +264,7 @@ def cmd_bench(args, parser) -> int:
     if args.reps < 1:
         parser.error("--reps must be at least 1")
     for N in args.N:
-        _check_fast_cap(parser, "bench", N)
+        _check_cap(parser, "bench", N, FAST_CAP_N)
     rng = np.random.default_rng(_check_seed(args.seed))
     lines = [f"# seed={args.seed}", "N,n,dense_ms,fast_ms,speedup,max_abs_err"]
     for N in args.N:

@@ -25,6 +25,8 @@ and swaps, drives the gate-level lowering in `bakermap.emit_circuit`.
 
 Dense matrices are plain complex ndarrays; states are thin immutable wrappers
 around a length-2^N amplitude vector with slot 1 the most significant qubit.
+An array is copied only where it arrives from a caller (`StateVector(...)`,
+`statevector`); the states qbaker builds itself adopt their fresh arrays.
 """
 
 from __future__ import annotations
@@ -96,14 +98,15 @@ def basis_state(N: int, j: int) -> StateVector:
         raise IndexError(f"basis index {j} out of range [0, {dims.D})")
     amps = np.zeros(dims.D, dtype=np.complex128)
     amps[j] = 1.0
-    return StateVector(N=N, amps=amps)
+    return StateVector._adopt(N, amps)
 
 
 def random_state(N: int, rng: np.random.Generator) -> StateVector:
     """Haar-random state: normalized complex Gaussian amplitudes."""
     D = Dimensions(N).D
     amps = rng.standard_normal(D) + 1j * rng.standard_normal(D)
-    return StateVector(N=N, amps=amps / np.linalg.norm(amps))
+    amps /= np.linalg.norm(amps)
+    return StateVector._adopt(N, amps)
 
 
 def random_product_state(N: int, rng: np.random.Generator) -> StateVector:
@@ -113,7 +116,7 @@ def random_product_state(N: int, rng: np.random.Generator) -> StateVector:
     for _ in range(N):
         qubit = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         amps = np.kron(amps, qubit / np.linalg.norm(qubit))
-    return StateVector(N=N, amps=amps)
+    return StateVector._adopt(N, amps)
 
 
 def unitarity_defect(m: np.ndarray) -> float:
@@ -129,8 +132,16 @@ def _check_unitary(m: np.ndarray, tol: float, what: str) -> np.ndarray:
     return m
 
 
-@functools.lru_cache(maxsize=None)
-def _kernel_cached(M: int) -> np.ndarray:
+@functools.lru_cache(maxsize=None, typed=True)
+def antiperiodic_dft(M: int) -> np.ndarray:
+    """Dense M x M transform K[x, a] = exp{2 pi i (x+1/2)(a+1/2)/M}/sqrt(M).
+
+    M must be a power of two; M = 1 gives the 1 x 1 matrix (i).  The kernel
+    is unitarity-checked once per size and cached; every caller gets the same
+    shared, read-only array (copy it to write).
+    """
+    if M < 1 or (M & (M - 1)) != 0:
+        raise ValueError(f"transform size must be a power of two >= 1, got {M}")
     half = np.arange(M) + 0.5
     kernel = np.exp(2j * np.pi * np.outer(half, half) / M) / np.sqrt(M)
     _check_unitary(kernel, UNITARY_TOL, f"antiperiodic DFT (M={M})")
@@ -138,20 +149,10 @@ def _kernel_cached(M: int) -> np.ndarray:
     return kernel
 
 
-def antiperiodic_dft(M: int) -> np.ndarray:
-    """Dense M x M transform K[x, a] = exp{2 pi i (x+1/2)(a+1/2)/M}/sqrt(M).
-
-    M must be a power of two; M = 1 gives the 1 x 1 matrix (i).  The kernel
-    is unitarity-checked once per size and cached; callers get a fresh copy.
-    """
-    if M < 1 or (M & (M - 1)) != 0:
-        raise ValueError(f"transform size must be a power of two >= 1, got {M}")
-    return _kernel_cached(M).copy()
-
-
 def partial_transform(dims: Dimensions, n: int) -> np.ndarray:
     """Dense partial transform: identity on the n most significant qubits
-    tensored with the antiperiodic DFT on the remaining N-n."""
+    tensored with the antiperiodic DFT on the remaining N-n.  The result is a
+    fresh, writable array."""
     if not 0 <= n <= dims.N:
         raise ValueError(f"partial-transform index n={n} out of range [0, {dims.N}]")
     return np.kron(np.eye(1 << n), antiperiodic_dft(1 << (dims.N - n)))
@@ -228,7 +229,7 @@ def dot_state_product(label: DotLabel) -> StateVector:
         )
     amps = functools.reduce(np.kron, factors, np.ones(1, dtype=np.complex128))
     amps *= np.exp(1j * np.pi * float(_binary_fraction(label.abits)))
-    return StateVector(N=label.N, amps=amps)
+    return StateVector._adopt(label.N, amps)
 
 
 def displacement_u(dims: Dimensions) -> np.ndarray:

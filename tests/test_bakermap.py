@@ -291,6 +291,16 @@ def test_apply_circuit_on_states_and_matrices():
     out = apply_circuit(real, gl)
     assert out.dtype == np.complex128 and np.abs(out - dense[:, 0]).max() < 1e-14
     assert np.array_equal(real, np.eye(8)[:, 0])
+    # a complex, C-ordered input is left as it was, even under a first gate
+    # that the simulator applies in place
+    cphase = GateList(N=3, gates=(Gate.controlled_phase(1, 2, 0.7),))
+    before = block.copy()
+    for gates in (gl, cphase):
+        apply_circuit(block, gates)
+        assert np.array_equal(block, before)
+    # an F-ordered block reshapes into a copy; the phase must land on that copy
+    fortran = np.asfortranarray(block)
+    assert np.array_equal(apply_circuit(fortran, cphase), apply_circuit(block, cphase))
     for bad in (np.zeros(4), np.zeros((16, 2)), np.complex128(1.0)):
         with pytest.raises(ValueError):
             apply_circuit(bad, gl)

@@ -268,14 +268,16 @@ LABEL_21 = "0" * 10 + "." + "1" * 11  # N = 21: one state would take 32 MiB
         ["evolve", "--label", LABEL_21, "--steps", "1"],
         ["evolve", "--random-product", "--N", "21", "--n", "1", "--steps", "1"],
         ["bench", "--N", "4", "21"],
+        ["circuit", "--N", "21", "--n", "1"],
     ],
 )
 def test_over_cap_inputs_exit_2_before_building(monkeypatch, capsys, argv):
     def refuse(*args, **kwargs):
-        raise AssertionError("a state was built or timed before the size cap")
+        raise AssertionError("a state or circuit was built or timed before the size cap")
 
     for name in ("dot_state_transform", "dot_state_product", "check_strict_localization",
-                 "random_product_state", "random_state", "time_fast_vs_dense"):
+                 "random_product_state", "random_state", "time_fast_vs_dense",
+                 "emit_circuit"):
         monkeypatch.setattr(cli, name, refuse)
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -4,14 +4,27 @@ Hypothesis runs derandomized and without an example database, so every run
 draws the same examples.
 """
 
+import contextlib
+import io
+import json
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbaker.bakermap import apply_baker_fast, apply_circuit, baker_composed, emit_circuit
 from qbaker.classical import SymbolString, decode, geometric_baker, shift
+from qbaker.cli import main
 from qbaker.lattice import Dimensions, DotLabel
-from qbaker.qfourier import random_state
+from qbaker.qfourier import (
+    antiperiodic_dft,
+    displacement_u,
+    displacement_v,
+    dot_state_product,
+    dot_state_transform,
+    partial_transform,
+    random_state,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -19,8 +32,8 @@ bits = st.lists(st.integers(0, 1), max_size=24).map(tuple)
 
 
 @st.composite
-def dot_labels(draw):
-    N = draw(st.integers(1, 16))
+def dot_labels(draw, max_N=16):
+    N = draw(st.integers(1, max_N))
     n = draw(st.integers(0, N))
     xs = draw(st.lists(st.integers(0, 1), min_size=N, max_size=N))
     return DotLabel(N=N, n=n, xbits=xs[:n], abits=xs[n:])
@@ -70,3 +83,71 @@ def test_fast_apply_matches_composed_matrix(case):
     state = random_state(N, np.random.default_rng(seed))
     want = baker_composed(Dimensions(N), n) @ state.amps
     assert np.abs(apply_baker_fast(state, n).amps - want).max() < 1e-12
+
+
+# --- CLI export round trips ----------------------------------------------------
+
+
+def _export(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv + ["--out", "-"]) == 0
+    return out.getvalue()
+
+
+def _read_csv(text: str, header: str, shape: tuple[int, ...]) -> np.ndarray:
+    rows = text.splitlines()
+    assert rows[0] == header
+    arr = np.full(shape, np.nan, dtype=np.complex128)
+    for row in rows[1:]:
+        *index, re, im = row.split(",")
+        arr[tuple(int(i) for i in index)] = complex(float(re), float(im))
+    return arr
+
+
+def _read_pairs(pairs: list) -> np.ndarray:
+    return np.array(pairs, dtype=np.float64).view(np.complex128)[..., 0]
+
+
+@PROPERTY
+@given(dot_labels(max_N=6), st.sampled_from(["transform", "product"]),
+       st.sampled_from(["csv", "json"]))
+def test_state_export_roundtrips(label, route, fmt):
+    text = _export(["state", "--label", label.text(), "--route", route, "--format", fmt])
+    if fmt == "csv":
+        amps = _read_csv(text, "index,re,im", (1 << label.N,))
+    else:
+        payload = json.loads(text)
+        assert payload["N"] == label.N
+        amps = _read_pairs(payload["amps"])
+    build = dot_state_product if route == "product" else dot_state_transform
+    assert np.array_equal(amps, build(label).amps)
+
+
+@st.composite
+def matrix_targets(draw):
+    target = draw(st.sampled_from("GBUVF"))
+    N = draw(st.integers(1, 4))
+    n = draw(st.integers(0 if target == "G" else 1, N))
+    return target, N, n
+
+
+@PROPERTY
+@given(matrix_targets(), st.sampled_from(["csv", "json"]))
+def test_matrix_export_roundtrips(case, fmt):
+    target, N, n = case
+    dims = Dimensions(N)
+    want = {
+        "G": lambda: partial_transform(dims, n),
+        "B": lambda: baker_composed(dims, n),
+        "U": lambda: displacement_u(dims),
+        "V": lambda: displacement_v(dims),
+        "F": lambda: antiperiodic_dft(dims.D),
+    }[target]()
+    argv = ["matrix", "--target", target, "--N", str(N), "--n", str(n), "--format", fmt]
+    text = _export(argv)
+    if fmt == "csv":
+        got = _read_csv(text, "row,col,re,im", want.shape)
+    else:
+        got = _read_pairs(json.loads(text))
+    assert np.array_equal(got, want)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,15 @@ def test_kernel_rejects_non_powers_of_two(M):
         antiperiodic_dft(M)
 
 
+def test_kernel_is_one_shared_read_only_array():
+    assert antiperiodic_dft(8) is antiperiodic_dft(8)
+    assert not antiperiodic_dft(8).flags.writeable
+    # a cached size does not let an equal float through the validation
+    antiperiodic_dft(4)
+    with pytest.raises(TypeError):
+        antiperiodic_dft(4.0)
+
+
 def test_partial_transform_boundaries():
     dims = Dimensions(2)
     assert np.abs(partial_transform(dims, 2) - 1j * np.eye(4)).max() < 1e-15
@@ -116,6 +127,13 @@ def test_partial_transform_unitary():
 def test_partial_transform_range():
     with pytest.raises(ValueError):
         partial_transform(Dimensions(2), 3)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_partial_transform_is_fresh_and_writable(n):
+    g = partial_transform(Dimensions(3), n)
+    assert g.flags.writeable
+    assert not np.shares_memory(g, antiperiodic_dft(1 << (3 - n)))
 
 
 # --- fast apply ---------------------------------------------------------------
@@ -189,6 +207,24 @@ def test_fast_applies_return_fresh_frozen_states(n):
         assert not out.amps.flags.writeable
         assert not np.shares_memory(out.amps, state.amps)
     assert np.array_equal(state.amps, before)
+
+
+def test_random_state_is_the_normalized_seeded_draw():
+    # seed 0 is one where other norm formulas differ in the last bit
+    rng = np.random.default_rng(0)
+    amps = rng.standard_normal(1 << 10) + 1j * rng.standard_normal(1 << 10)
+    want = amps / np.linalg.norm(amps)
+    assert np.array_equal(random_state(10, np.random.default_rng(0)).amps, want)
+
+
+def test_basis_state_allocates_one_state():
+    tracemalloc.start()
+    try:
+        state = basis_state(16, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * state.amps.nbytes  # the copying constructor needs 2x
 
 
 def test_adopted_state_keeps_the_constructor_checks():
