@@ -1,20 +1,22 @@
 """The dot-shift family of quantum baker's maps on N qubits.
 
 The n-th map (1 <= n <= N) sends each dot-basis state to the dot-basis state
-whose label has the dot moved one place right.  Two dense constructions are
-provided: directly from that basis action, and as the composition
+whose label has the dot moved one place right.  It is the composition
 
     B_n = G_{n-1} * Cyc_n * G_n^dag,
 
-where Cyc_n cyclically rotates the contents of the first n qubit slots
-(slot 1 moves to slot n) and G_k is the partial antiperiodic transform.  The
-production route is the O(D*N) state apply `apply_baker_fast`, which follows
-the composed form without building it.  Both dense forms and an O(N^2)
-gate-list lowering are its checks.  The lowering has three gate kinds
-(single-qubit gates, controlled phases, swaps); the map's scalar phase is
-folded into its last gate.  `apply_circuit` runs a gate list on reshaped views
-that expose each gate's slots as axes, so it acts on matrices (checked against
-the dense map) and on states past the dense cap.
+where Cyc_n cyclically rotates the contents of the first n qubit slots (slot 1
+moves to slot n) and G_k is the partial antiperiodic transform.  Cyc_n acts on
+slots 1..n and G_n^dag on slots n+1..N, so the two commute: `baker_composed`
+builds the product as (I (x) T) * Cyc_n from a closed form of T, and
+`baker_from_basis_map` from the basis action.  The production route is the
+O(D*N) state apply `apply_baker_fast`, which follows the composed form without
+building it.  Both dense forms and an O(N^2) gate-list lowering are its checks.
+The lowering has three gate kinds (single-qubit gates, controlled phases,
+swaps); the map's scalar phase is folded into its last gate.  `apply_circuit`
+runs a gate list on reshaped views that expose each gate's slots as axes, so
+it acts on matrices (checked against the dense map) and on states past the
+dense cap.
 
 The n = N member needs no controlled phases at all: it is a cyclic qubit
 shift followed by one fixed single-qubit rotation of the last slot, and so
@@ -30,14 +32,7 @@ import numpy as np
 
 from .classical import label_shift
 from .lattice import Dimensions, _qubit_count, iter_labels
-from .qfourier import (
-    StateVector,
-    antiperiodic_dft,
-    apply_partial_transform,
-    dot_state_transform,
-    partial_transform,
-    _check_unitary,
-)
+from .qfourier import StateVector, apply_partial_transform, dot_state_transform, _check_unitary
 
 DENSE_CAP_N = 12
 FAST_CAP_N = 20
@@ -150,25 +145,32 @@ def baker_from_basis_map(dims: Dimensions, n: int) -> np.ndarray:
 
 
 def baker_composed(dims: Dimensions, n: int) -> np.ndarray:
-    """Dense map as G_{n-1} * Cyc_n * G_n^dag.
+    """Dense map G_{n-1} * Cyc_n * G_n^dag = (I_{2^(n-1)} (x) T) * Cyc_n in O(D^2),
+    from the closed form of T = K_{2M} (I_2 (x) K_M^dag), M = 2^(N-n):
 
-    The left factor is block-diagonal (2^(n-1) copies of the antiperiodic
-    kernel on 2^(N-n+1) amplitudes), so the product runs as a batched
-    block multiply instead of a full D^3 one for n > 1.
+        T[x, (x_1, a)] = e^{i pi (x+1/2) x_1} (1 + i(-1)^x) i / (2 sqrt2 M sin(pi theta)),
+
+    a geometric sum with theta = (x - 2a - 1/2)/(2M), never an integer.  Cyc_n
+    moves the slot-1 bit x_1 past the block index k of slots 2..n, so column
+    (x_1, k, a) of B_n is column (x_1, a) of T in block k.
     """
     _check_map_index(dims.N, n)
-    D = dims.D
-    permuted = _cyclic_rows(partial_transform(dims, n).conj().T, dims.N, n)
-    kernel = antiperiodic_dft(1 << (dims.N - n + 1))
-    blocks = permuted.reshape(1 << (n - 1), kernel.shape[0], D)
-    return np.matmul(kernel, blocks).reshape(D, D)
+    K, M = 1 << (n - 1), 1 << (dims.N - n)
+    x = np.arange(2 * M)[:, None]
+    parity = 1 - 2 * (x & 1)  # (-1)^x
+    sine = np.sin(np.pi * (x - 2 * np.arange(M) - 0.5) / (2 * M))
+    t = (1j - parity) / (2 * np.sqrt(2) * M * sine)  # the x_1 = 0 half
+    out = np.zeros((K, 2 * M, 2, K, M), dtype=np.complex128)
+    blocks = np.arange(K)
+    out[blocks, :, 0, blocks] = t
+    out[blocks, :, 1, blocks] = 1j * parity * t
+    return out.reshape(dims.D, dims.D)
 
 
 def last_qubit_unitary() -> np.ndarray:
-    """The fixed 2x2 rotation the n = N map applies to the shifted-out qubit:
-    (1/sqrt2) [[e^{-i pi/4}, e^{i pi/4}], [e^{i pi/4}, e^{-i pi/4}]]."""
-    w = np.exp(1j * np.pi / 4)
-    return np.array([[w.conjugate(), w], [w, w.conjugate()]]) / np.sqrt(2)
+    """The fixed 2x2 rotation the n = N map applies to the shifted-out qubit,
+    (1/sqrt2) [[e^{-i pi/4}, e^{i pi/4}], [e^{i pi/4}, e^{-i pi/4}]], in exact entries."""
+    return np.array([[1 - 1j, 1 + 1j], [1 + 1j, 1 - 1j]]) / 2
 
 
 def apply_baker_fast(state: StateVector, n: int) -> StateVector:

@@ -214,6 +214,14 @@ def test_iterate_norm_drift_100_steps():
     assert abs(out.norm() - 1.0) < 1e-8
 
 
+def test_iterate_last_map_keeps_norm_over_10k_steps():
+    # the n = N step rotates with the exact entries (1 -+ i)/2; their rounded
+    # e^{-+i pi/4}/sqrt2 forms lose about 1e-16 of norm per step, 1e-12 here
+    state = random_state(10, np.random.default_rng(61))
+    out = iterate(state, 10, 10_000)
+    assert abs(out.norm() - 1.0) <= 1e-14
+
+
 def test_iterate_follows_label_until_dot_hits_zero():
     # a dot-basis input with n = 1 tracks the label shift for exactly one
     # step; iteration past that keeps applying the same fixed map
