@@ -43,7 +43,7 @@ class CorrespondenceStep:
 
 def position_support(state: StateVector, tol: float) -> np.ndarray:
     """Sorted indices j with |amps[j]| > tol."""
-    if tol < 0:
+    if not tol >= 0:  # also rejects NaN
         raise ValueError(f"tolerance must be non-negative, got {tol}")
     return np.flatnonzero(np.abs(state.amps) > tol)
 
@@ -95,11 +95,15 @@ def max_contiguous_cut_entropy(state: StateVector) -> float:
 
 def eigenphases(u: np.ndarray, tol: float = 1e-10) -> SpectrumReport:
     """Eigenphases of a unitary, sorted in [0, 2 pi), with circular
-    nearest-neighbor spacings normalized to unit mean."""
+    nearest-neighbor spacings normalized to unit mean.  A phase within tol
+    below 2 pi reads 0, so an eigenvalue 1 sorts first whichever way its
+    imaginary part rounds."""
     u = _check_unitary(np.asarray(u, dtype=np.complex128), tol, "matrix")
     vals = np.linalg.eigvals(u)
     unit_dev = float(np.abs(np.abs(vals) - 1.0).max())
-    phases = np.sort(np.mod(np.angle(vals), 2.0 * np.pi))
+    phases = np.mod(np.angle(vals), 2.0 * np.pi)
+    phases[phases > 2.0 * np.pi - tol] = 0.0
+    phases.sort()
     gaps = np.diff(phases, append=phases[0] + 2.0 * np.pi)
     spacings = gaps * (len(phases) / (2.0 * np.pi))
     return SpectrumReport(phases=phases, unit_modulus_dev=unit_dev, spacings=spacings)

@@ -32,7 +32,13 @@ import numpy as np
 
 from .classical import label_shift
 from .lattice import Dimensions, _qubit_count, iter_labels
-from .qfourier import StateVector, apply_partial_transform, dot_state_transform, _check_unitary
+from .qfourier import (
+    UNITARY_TOL,
+    StateVector,
+    _check_unitary,
+    apply_partial_transform,
+    dot_state_transform,
+)
 
 DENSE_CAP_N = 12
 FAST_CAP_N = 20
@@ -68,7 +74,7 @@ class Gate:
             mat = np.array(self.matrix, dtype=np.complex128)
             if mat.shape != (2, 2):
                 raise ValueError(f"single_qubit matrix must be 2x2, got {mat.shape}")
-            _check_unitary(mat, 1e-12, "single_qubit gate matrix")
+            _check_unitary(mat, UNITARY_TOL, "single_qubit gate matrix")
             mat.setflags(write=False)
             object.__setattr__(self, "matrix", mat)
         elif self.kind == "controlled_phase":

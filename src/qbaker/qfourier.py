@@ -132,21 +132,18 @@ def _check_unitary(m: np.ndarray, tol: float, what: str) -> np.ndarray:
     return m
 
 
-@functools.lru_cache(maxsize=None, typed=True)
 def antiperiodic_dft(M: int) -> np.ndarray:
     """Dense M x M transform K[x, a] = exp{2 pi i (x+1/2)(a+1/2)/M}/sqrt(M).
 
     M must be a power of two; M = 1 gives the 1 x 1 matrix (i).  The kernel
-    is unitarity-checked once per size and cached; every caller gets the same
-    shared, read-only array (copy it to write).
+    is unitarity-checked on every build and returned as a fresh, writable
+    array.
     """
     if M < 1 or (M & (M - 1)) != 0:
         raise ValueError(f"transform size must be a power of two >= 1, got {M}")
     half = np.arange(M) + 0.5
     kernel = np.exp(2j * np.pi * np.outer(half, half) / M) / np.sqrt(M)
-    _check_unitary(kernel, UNITARY_TOL, f"antiperiodic DFT (M={M})")
-    kernel.setflags(write=False)
-    return kernel
+    return _check_unitary(kernel, UNITARY_TOL, f"antiperiodic DFT (M={M})")
 
 
 def partial_transform(dims: Dimensions, n: int) -> np.ndarray:

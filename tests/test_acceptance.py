@@ -1,96 +1,27 @@
 """Acceptance gate: every criterion at its stated size and tolerance.
 
-Each test prints one PASS/FAIL line (visible with pytest -s; the same lines
-come out of `qbaker verify`).
+The criteria come from `qbaker.verify.criteria`, the list `qbaker verify`
+runs.  Each test prints one PASS/FAIL line per check (visible with pytest -s;
+the same lines come out of `qbaker verify`).
 """
 
 import pytest
 
 from qbaker import verify
 from qbaker.bakermap import FAST_CAP_N
-from qbaker.verify import (
-    DEFAULT_SEED,
-    check_b1_reduction,
-    check_bn_structure,
-    check_boundary_identities,
-    check_circuit_lowering,
-    check_circuit_vs_fast,
-    check_classical_oracle,
-    check_displacement_algebra,
-    check_dot_shift_law,
-    check_fast_path,
-    check_localization,
-    check_product_form,
-    check_route_equivalence,
-    check_unitarity,
-    run_all,
+from qbaker.verify import DEFAULT_SEED, criteria, run_all
+
+
+# no restriction: every sub-check runs at its stated size
+@pytest.mark.parametrize(
+    "criterion", criteria(FAST_CAP_N, DEFAULT_SEED), ids=lambda c: c.func.__name__
 )
-
-FULL = FAST_CAP_N  # no restriction: every sub-check runs at its stated size
-
-
-def _report(results):
-    failures = []
+def test_criterion(criterion):
+    results = criterion()
     for r in results:
-        line = f"[acceptance] {r.line()}"
-        print(line)
-        if not r.skipped and not r.passed:
-            failures.append(line)
-    assert not failures, "\n".join(failures)
-
-
-def test_c01_unitarity():
-    _report(check_unitarity(FULL))
-
-
-def test_c02_boundary_identities():
-    _report(check_boundary_identities(FULL))
-
-
-def test_c03_b1_reduction():
-    _report(check_b1_reduction(FULL))
-
-
-def test_c04_route_equivalence():
-    _report(check_route_equivalence(FULL))
-
-
-def test_c05_dot_shift_law():
-    _report(check_dot_shift_law(FULL))
-
-
-def test_c06_product_form():
-    _report(check_product_form(FULL))
-
-
-def test_c07_bn_structure():
-    _report(check_bn_structure(FULL, DEFAULT_SEED))
-
-
-def test_c08_displacement_algebra():
-    _report(check_displacement_algebra(FULL))
-
-
-def test_c09_localization():
-    _report(check_localization(FULL))
-
-
-def test_c10_classical_oracle():
-    _report(check_classical_oracle(FULL, DEFAULT_SEED))
-
-
-def test_c11_fast_path():
-    _report(check_fast_path(FULL, DEFAULT_SEED))
-
-
-def test_c12_circuit_lowering():
-    _report(check_circuit_lowering(FULL))
-
-
-def test_c13_circuit_vs_fast_apply():
-    results = check_circuit_vs_fast(FULL, DEFAULT_SEED)
-    assert [r.skipped for r in results] == [False, False]
-    _report(results)
+        print(f"[acceptance] {r.line()}")
+    assert [r.name for r in results if r.skipped] == []
+    assert [r.line() for r in results if not r.passed] == []
 
 
 @pytest.mark.parametrize("max_n,seed", [(0, DEFAULT_SEED), (-3, DEFAULT_SEED), (2, -1)])

@@ -213,7 +213,7 @@ def test_spectrum_single_qubit_map(tmp_path):
     ) == 0
     rows = out.read_text().strip().splitlines()
     assert rows[0] == "index,phase,spacing"
-    phases = sorted(float(r.split(",")[1]) for r in rows[1:])
+    phases = [float(r.split(",")[1]) for r in rows[1:]]
     assert abs(phases[0] - 0.0) < 1e-10
     assert abs(phases[1] - 1.5 * np.pi) < 1e-10
 
@@ -244,6 +244,7 @@ def test_localize_report(tmp_path):
         ["verify", "--max-N", "1", "--report", "{missing}/r.json"],
         ["bench", "--N", "0"],
         ["evolve", "--state-file", "{missing}/s.csv", "--n", "1", "--steps", "1"],
+        ["evolve", "--label", "01.10", "--steps", "2", "--tol", "nan"],
     ],
 )
 def test_rejected_arguments_exit_2(tmp_path, capsys, argv):
