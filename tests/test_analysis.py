@@ -10,7 +10,7 @@ from qbaker.analysis import (
     schmidt_entropy,
 )
 from qbaker.bakermap import apply_baker_fast, baker_composed
-from qbaker.lattice import Dimensions, DotLabel
+from qbaker.lattice import Dimensions, DotLabel, iter_labels
 from qbaker.qfourier import (
     StateVector,
     basis_state,
@@ -194,3 +194,11 @@ def test_correspondence_zero_steps():
 def test_correspondence_exhausts_dot():
     with pytest.raises(ValueError):
         correspondence_trajectory(DotLabel.parse("1.0"), 2)
+
+
+def test_correspondence_all_labels():
+    for N in range(1, 6):
+        for n in range(N + 1):
+            for label in iter_labels(N, n):
+                for step in correspondence_trajectory(label, n):
+                    assert step.overlap.real >= 1.0 - 1e-10

@@ -278,8 +278,7 @@ def test_emit_circuit_last_map_shape():
         assert np.abs(gl.gates[-1].matrix - U_EXPECTED).max() < 1e-14
 
 
-# criterion 7b covers N=6 with 100 draws; this case is past its size
-@pytest.mark.parametrize("N,draws", [(16, 2)])
+@pytest.mark.parametrize("N,draws", [(6, 20), (16, 2)])
 def test_images_of_products_stay_products_for_last_map(N, draws):
     rng = np.random.default_rng(53)
     for _ in range(draws):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qbaker.classical import (
@@ -51,6 +52,16 @@ def test_geometric_baker_examples(point, expected):
 def test_geometric_baker_domain():
     with pytest.raises(ValueError):
         geometric_baker(Fraction(3, 2), Fraction(0))
+
+
+def test_decode_shift_matches_geometric_exactly():
+    # exact identity in rational arithmetic on finite windows
+    rng = np.random.default_rng(999)
+    for _ in range(1000):
+        left = tuple(int(b) for b in rng.integers(0, 2, rng.integers(0, 33)))
+        right = tuple(int(b) for b in rng.integers(0, 2, rng.integers(1, 33)))
+        s = SymbolString(left=left, right=right)
+        assert decode(shift(s)) == geometric_baker(*decode(s))
 
 
 def test_shift_injective_on_fixed_window_length():
