@@ -75,12 +75,21 @@ def check_strict_localization(label: DotLabel) -> LocalizationReport:
 
 def schmidt_entropy(state: StateVector, cut: int) -> float:
     """Entanglement entropy in bits across the contiguous cut between slots
-    `cut` and `cut`+1, from the singular values of the amplitude matrix."""
+    `cut` and `cut`+1.
+
+    The Schmidt probabilities are the eigenvalues (`eigvalsh`) of the Gram
+    matrix M M^dag of the amplitude matrix M, taken on the smaller side of
+    the cut, so the Gram matrix is 2^min(cut, N - cut) square.  Squaring
+    first sets a rounding floor: a product state reads about 1e-13, not 0,
+    while the singular values read about 1e-15.  A basis state still reads
+    exactly 0.
+    """
     if not 1 <= cut <= state.N - 1:
         raise ValueError(f"cut {cut} out of range [1, {state.N - 1}]")
     matrix = state.amps.reshape(1 << cut, -1)
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    probs = svals**2
+    if 2 * cut > state.N:
+        matrix = matrix.T
+    probs = np.linalg.eigvalsh(matrix @ matrix.conj().T)
     probs = probs[probs > 0]
     return float(-np.sum(probs * np.log2(probs)))
 

@@ -16,16 +16,16 @@ from qbaker.qfourier import (
     basis_state,
     dot_state_transform,
     random_product_state,
+    random_state,
 )
 
 
 def entropy_oracle(state, cut):
-    """Independent route: eigenvalues of the reduced density matrix."""
+    """Independent route: squared singular values of the amplitude matrix."""
     m = state.amps.reshape(2**cut, -1)
-    rho = m @ m.conj().T
-    evals = np.linalg.eigvalsh(rho)
-    evals = evals[evals > 1e-14]
-    return float(-np.sum(evals * np.log2(evals)))
+    probs = np.linalg.svd(m, compute_uv=False) ** 2
+    probs = probs[probs > 1e-14]
+    return float(-np.sum(probs * np.log2(probs)))
 
 
 # --- support and localization -------------------------------------------------
@@ -78,7 +78,7 @@ def test_schmidt_entropy_cut_range():
         schmidt_entropy(basis_state(2, 0), 2)
 
 
-def test_schmidt_entropy_against_density_matrix_oracle():
+def test_schmidt_entropy_against_svd_oracle():
     rng = np.random.default_rng(61)
     b1 = baker_composed(Dimensions(3), 1)
     for _ in range(20):
@@ -86,6 +86,18 @@ def test_schmidt_entropy_against_density_matrix_oracle():
         image = StateVector(N=3, amps=b1 @ state.amps)
         for cut in (1, 2):
             assert abs(schmidt_entropy(image, cut) - entropy_oracle(image, cut)) < 1e-10
+
+
+def test_schmidt_entropy_every_cut_at_n16():
+    rng = np.random.default_rng(63)
+    entangled = random_state(16, rng)
+    image = apply_baker_fast(random_product_state(16, rng), 8)
+    product = random_product_state(16, rng)
+    for cut in range(1, 16):
+        for state in (entangled, image):
+            assert abs(schmidt_entropy(state, cut) - entropy_oracle(state, cut)) < 1e-12
+        assert schmidt_entropy(product, cut) < 1e-10
+        assert schmidt_entropy(basis_state(16, 12345), cut) == 0.0
 
 
 def test_schmidt_entropy_invariant_under_local_rotations():

@@ -355,6 +355,12 @@ def test_verify_perturbation_fails():
     assert main(["verify", "--max-N", "3", "--perturb", "1e-6"]) == 1
 
 
+def test_verify_nan_perturbation_fails(capsys):
+    assert main(["verify", "--max-N", "2", "--perturb", "nan"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("FAIL 1 unitarity")
+
+
 def test_bench_correctness_column(tmp_path):
     out = tmp_path / "bench.csv"
     assert main(["bench", "--N", "4", "--out", str(out)]) == 0
