@@ -8,7 +8,6 @@ entanglement, and spectral diagnostics.
 """
 
 from .lattice import (
-    Dimensions,
     DotLabel,
     PhasePoint,
     bits_to_index,
@@ -67,7 +66,6 @@ from .analysis import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Dimensions",
     "DotLabel",
     "PhasePoint",
     "SymbolString",

@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .classical import label_shift
-from .lattice import Dimensions, _qubit_count, iter_labels
+from .lattice import _qubit_count, iter_labels
 from .qfourier import (
     UNITARY_TOL,
     StateVector,
@@ -114,9 +114,12 @@ class GateList:
         return len(self.gates)
 
 
-def _check_map_index(N: int, n: int) -> None:
-    if not 1 <= n <= N:
+def _check_map_index(N: int, n: int) -> tuple[int, int]:
+    """(N, n) as plain ints with 1 <= n <= N, else a ValueError."""
+    N, n = _qubit_count(N), _qubit_count(n, noun="map index n")
+    if n > N:
         raise ValueError(f"map index n={n} out of range [1, {N}]")
+    return N, n
 
 
 def _cyclic_rows(arr: np.ndarray, N: int, n: int) -> np.ndarray:
@@ -129,28 +132,28 @@ def _cyclic_rows(arr: np.ndarray, N: int, n: int) -> np.ndarray:
     return shaped.transpose(axes).reshape(arr.shape)
 
 
-def cyclic_shift_operator(dims: Dimensions, n: int) -> np.ndarray:
-    """Permutation matrix for the slot rotation (x1, x2, ..., xn, rest) ->
-    (x2, ..., xn, x1, rest)."""
-    _check_map_index(dims.N, n)
-    return _cyclic_rows(np.eye(dims.D), dims.N, n)
+def cyclic_shift_operator(N: int, n: int) -> np.ndarray:
+    """Permutation matrix on N qubits for the slot rotation (x1, x2, ..., xn,
+    rest) -> (x2, ..., xn, x1, rest)."""
+    N, n = _check_map_index(N, n)
+    return _cyclic_rows(np.eye(1 << N), N, n)
 
 
-def baker_from_basis_map(dims: Dimensions, n: int) -> np.ndarray:
+def baker_from_basis_map(N: int, n: int) -> np.ndarray:
     """Dense map assembled directly from its action on the dot basis: the
     state labelled ...a_1.x_1...x_n goes to the one labelled ...a_1x_1.x_2...x_n."""
-    _check_map_index(dims.N, n)
-    D = dims.D
+    N, n = _check_map_index(N, n)
+    D = 1 << N
     src = np.empty((D, D), dtype=np.complex128)
     tgt = np.empty((D, D), dtype=np.complex128)
-    for label in iter_labels(dims.N, n):
+    for label in iter_labels(N, n):
         j = label.basis_index
         src[:, j] = dot_state_transform(label).amps
         tgt[:, j] = dot_state_transform(label_shift(label)).amps
     return tgt @ src.conj().T
 
 
-def baker_composed(dims: Dimensions, n: int) -> np.ndarray:
+def baker_composed(N: int, n: int) -> np.ndarray:
     """Dense map G_{n-1} * Cyc_n * G_n^dag = (I_{2^(n-1)} (x) T) * Cyc_n in O(D^2),
     from the closed form of T = K_{2M} (I_2 (x) K_M^dag), M = 2^(N-n):
 
@@ -160,8 +163,8 @@ def baker_composed(dims: Dimensions, n: int) -> np.ndarray:
     moves the slot-1 bit x_1 past the block index k of slots 2..n, so column
     (x_1, k, a) of B_n is column (x_1, a) of T in block k.
     """
-    _check_map_index(dims.N, n)
-    K, M = 1 << (n - 1), 1 << (dims.N - n)
+    N, n = _check_map_index(N, n)
+    K, M = 1 << (n - 1), 1 << (N - n)
     x = np.arange(2 * M)[:, None]
     parity = 1 - 2 * (x & 1)  # (-1)^x
     sine = np.sin(np.pi * (x - 2 * np.arange(M) - 0.5) / (2 * M))
@@ -170,7 +173,7 @@ def baker_composed(dims: Dimensions, n: int) -> np.ndarray:
     blocks = np.arange(K)
     out[blocks, :, 0, blocks] = t
     out[blocks, :, 1, blocks] = 1j * parity * t
-    return out.reshape(dims.D, dims.D)
+    return out.reshape(1 << N, 1 << N)
 
 
 def last_qubit_unitary() -> np.ndarray:
@@ -183,7 +186,7 @@ def apply_baker_fast(state: StateVector, n: int) -> StateVector:
     """Apply the n-th map to a state in O(D*N): inverse partial transform,
     slot rotation, forward partial transform one step shorter.  For n = N it
     takes the faster closed form: cyclic qubit shift, then last-slot rotation."""
-    _check_map_index(state.N, n)
+    _, n = _check_map_index(state.N, n)
     if n == state.N:
         shifted = _cyclic_rows(state.amps, state.N, state.N)
         out = (shifted.reshape(-1, 2) @ last_qubit_unitary().T).ravel()
@@ -206,7 +209,7 @@ def iterate(
     """
     if steps < 0:
         raise ValueError(f"step count must be non-negative, got {steps}")
-    _check_map_index(state.N, n)
+    _, n = _check_map_index(state.N, n)
     if observe is not None:
         observe(0, state)
     for k in range(1, steps + 1):
@@ -270,16 +273,15 @@ def _simplify(gates: Sequence[Gate]) -> list[Gate]:
     return out
 
 
-def emit_circuit(dims: Dimensions, n: int) -> GateList:
-    """Lower the n-th map to elementary gates.
+def emit_circuit(N: int, n: int) -> GateList:
+    """Lower the n-th map on N qubits to elementary gates.
 
     Realizes G_{n-1} * Cyc_n * G_n^dag: inverse kernel block on slots
     n+1..N, adjacent swaps for the slot rotation, forward kernel block on
     slots n..N.  Gate count is O(N^2); the n = N case reduces to swaps plus
     one single-qubit gate.
     """
-    _check_map_index(dims.N, n)
-    N = dims.N
+    N, n = _check_map_index(N, n)
     gates = _invert_gates(_antiperiodic_block(range(n + 1, N + 1)))
     gates += [Gate.swap(k, k + 1) for k in range(1, n)]
     forward = _antiperiodic_block(range(n, N + 1))

@@ -33,7 +33,7 @@ from .analysis import (
 from .bakermap import DENSE_CAP_N, FAST_CAP_N, baker_composed, emit_circuit, iterate
 from .bakermap import apply_baker_fast  # noqa: F401  perfbench/tracing.py patches this name
 from .classical import label_shift
-from .lattice import Dimensions, DotLabel
+from .lattice import DotLabel, _qubit_count
 from .qfourier import (
     StateVector,
     antiperiodic_dft,
@@ -64,24 +64,24 @@ def _pairs(arr: np.ndarray) -> list:
 
 
 def _check_cap(parser, command: str, N: int, cap: int) -> None:
-    if Dimensions(N).N > cap:
+    if _qubit_count(N) > cap:
         parser.error(f"{command} is capped at N={cap}, got N={N}")
 
 
 def _target_matrix(parser, args) -> np.ndarray:
     _check_cap(parser, args.command, args.N, DENSE_CAP_N)
-    dims, target = Dimensions(args.N), args.target
+    N, target = args.N, args.target
     if target in ("G", "B") and args.n is None:
         parser.error(f"--target {target} needs --n")
     if target == "G":
-        return partial_transform(dims, args.n)
+        return partial_transform(N, args.n)
     if target == "B":
-        return baker_composed(dims, args.n)
+        return baker_composed(N, args.n)
     if target == "U":
-        return displacement_u(dims)
+        return displacement_u(N)
     if target == "V":
-        return displacement_v(dims)
-    return antiperiodic_dft(dims.D)  # F
+        return displacement_v(N)
+    return antiperiodic_dft(1 << N)  # F
 
 
 def _matrix_csv(mat: np.ndarray) -> str:
@@ -232,7 +232,7 @@ def _gate_record(gate) -> dict:
 
 def cmd_circuit(args, parser) -> int:
     _check_cap(parser, "circuit", args.N, FAST_CAP_N)
-    gl = emit_circuit(Dimensions(args.N), args.n)
+    gl = emit_circuit(args.N, args.n)
     payload = {"N": gl.N, "gates": [_gate_record(g) for g in gl.gates]}
     _write(json.dumps(payload, indent=2) + "\n", args.out)
     return 0

@@ -9,13 +9,12 @@ by bit strings with slot 1 the most significant bit, j = sum_l x_l 2^(N-l).
 A dot label a_{N-n}...a_1.x_1...x_n names one state of the dot basis: the n
 bits right of the dot fix a position window of width 1/2^n, the N-n bits
 left of the dot (read backwards) fix a momentum window of width 1/2^(N-n).
-Everything here is exact integer/rational arithmetic; no floats except the
-derived hbar.
+Everything here is exact integer/rational arithmetic.  N and n are plain
+ints throughout the package, each checked by `_qubit_count`.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,49 +45,32 @@ def _parse_dotted(text: str, noun: str) -> tuple[Bits, Bits]:
     return tuple(int(c) for c in reversed(before)), tuple(int(c) for c in after)
 
 
-def _qubit_count(count, least: int = 1) -> int:
-    """count as a plain int >= least; any integer type but bool is accepted."""
+def _qubit_count(count, least: int = 1, noun: str = "qubit count") -> int:
+    """count as a plain int >= least; any integer type but bool is accepted.
+    The one check for qubit counts N and for the map and dot indices n."""
     try:
         value = operator.index(count)
     except TypeError:
         value = least - 1
     if isinstance(count, bool) or value < least:
-        raise ValueError(f"qubit count must be an integer >= {least}, got {count!r}")
+        raise ValueError(f"{noun} must be an integer >= {least}, got {count!r}")
     return value
 
 
-@dataclass(frozen=True)
-class Dimensions:
-    """Hilbert-space bookkeeping for N qubits on the unit torus."""
-
-    N: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "N", _qubit_count(self.N))
-
-    @property
-    def D(self) -> int:
-        """Hilbert dimension 2^N."""
-        return 1 << self.N
-
-    @property
-    def hbar(self) -> float:
-        """Effective Planck constant, 2*pi*hbar*D = 1."""
-        return 1.0 / (2.0 * math.pi * self.D)
+def position_eigenvalue(N: int, j: int) -> Fraction:
+    """Position eigenvalue q_j = (j + 1/2)/D, D = 2^N, as an exact rational."""
+    D = 1 << _qubit_count(N)
+    if not 0 <= j < D:
+        raise IndexError(f"position index {j} out of range [0, {D})")
+    return Fraction(2 * j + 1, 2 * D)
 
 
-def position_eigenvalue(dims: Dimensions, j: int) -> Fraction:
-    """Position eigenvalue q_j = (j + 1/2)/D as an exact rational."""
-    if not 0 <= j < dims.D:
-        raise IndexError(f"position index {j} out of range [0, {dims.D})")
-    return Fraction(2 * j + 1, 2 * dims.D)
-
-
-def momentum_eigenvalue(dims: Dimensions, k: int) -> Fraction:
+def momentum_eigenvalue(N: int, k: int) -> Fraction:
     """Momentum eigenvalue p_k = (k + 1/2)/D, same half-integer lattice as q."""
-    if not 0 <= k < dims.D:
-        raise IndexError(f"momentum index {k} out of range [0, {dims.D})")
-    return Fraction(2 * k + 1, 2 * dims.D)
+    D = 1 << _qubit_count(N)
+    if not 0 <= k < D:
+        raise IndexError(f"momentum index {k} out of range [0, {D})")
+    return Fraction(2 * k + 1, 2 * D)
 
 
 def bits_to_index(bits: Sequence[int]) -> int:
@@ -124,7 +106,7 @@ class DotLabel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "N", _qubit_count(self.N))
-        object.__setattr__(self, "n", _qubit_count(self.n, least=0))
+        object.__setattr__(self, "n", _qubit_count(self.n, least=0, noun="dot position n"))
         if self.n > self.N:
             raise ValueError(f"dot position n={self.n} out of range [0, {self.N}]")
         object.__setattr__(self, "xbits", _as_bits(self.xbits))
@@ -197,9 +179,9 @@ def label_cell(label: DotLabel) -> PhasePoint:
 
 def iter_labels(N: int, n: int) -> Iterator[DotLabel]:
     """All 2^N dot labels for fixed (N, n), in basis-index order."""
-    dims = Dimensions(N)
-    if not 0 <= n <= N:
+    N, n = _qubit_count(N), _qubit_count(n, least=0, noun="dot position n")
+    if n > N:
         raise ValueError(f"dot position n={n} out of range [0, {N}]")
-    for j in range(dims.D):
+    for j in range(1 << N):
         bits = index_to_bits(N, j)
         yield DotLabel(N=N, n=n, xbits=bits[:n], abits=bits[n:])

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Dimensions, DotLabel, _binary_fraction, _qubit_count
+from .lattice import DotLabel, _binary_fraction, _qubit_count
 
 NORM_TOL = 1e-12
 UNITARY_TOL = 1e-12
@@ -93,17 +93,17 @@ def statevector(amps: np.ndarray) -> StateVector:
 
 def basis_state(N: int, j: int) -> StateVector:
     """Computational (= position) basis state |q_j>."""
-    dims = Dimensions(N)
-    if not 0 <= j < dims.D:
-        raise IndexError(f"basis index {j} out of range [0, {dims.D})")
-    amps = np.zeros(dims.D, dtype=np.complex128)
+    D = 1 << _qubit_count(N)
+    if not 0 <= j < D:
+        raise IndexError(f"basis index {j} out of range [0, {D})")
+    amps = np.zeros(D, dtype=np.complex128)
     amps[j] = 1.0
     return StateVector._adopt(N, amps)
 
 
 def random_state(N: int, rng: np.random.Generator) -> StateVector:
     """Haar-random state: normalized complex Gaussian amplitudes."""
-    D = Dimensions(N).D
+    D = 1 << _qubit_count(N)
     amps = rng.standard_normal(D) + 1j * rng.standard_normal(D)
     amps /= np.linalg.norm(amps)
     return StateVector._adopt(N, amps)
@@ -111,7 +111,7 @@ def random_state(N: int, rng: np.random.Generator) -> StateVector:
 
 def random_product_state(N: int, rng: np.random.Generator) -> StateVector:
     """Random product state: one normalized complex Gaussian qubit per slot."""
-    N = Dimensions(N).N
+    N = _qubit_count(N)
     amps = np.ones(1, dtype=np.complex128)
     for _ in range(N):
         qubit = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -146,13 +146,20 @@ def antiperiodic_dft(M: int) -> np.ndarray:
     return _check_unitary(kernel, UNITARY_TOL, f"antiperiodic DFT (M={M})")
 
 
-def partial_transform(dims: Dimensions, n: int) -> np.ndarray:
-    """Dense partial transform: identity on the n most significant qubits
-    tensored with the antiperiodic DFT on the remaining N-n.  The result is a
-    fresh, writable array."""
-    if not 0 <= n <= dims.N:
-        raise ValueError(f"partial-transform index n={n} out of range [0, {dims.N}]")
-    return np.kron(np.eye(1 << n), antiperiodic_dft(1 << (dims.N - n)))
+def _check_transform_index(N: int, n: int) -> tuple[int, int]:
+    """(N, n) as plain ints with 0 <= n <= N, else a ValueError."""
+    N, n = _qubit_count(N), _qubit_count(n, least=0, noun="partial-transform index n")
+    if n > N:
+        raise ValueError(f"partial-transform index n={n} out of range [0, {N}]")
+    return N, n
+
+
+def partial_transform(N: int, n: int) -> np.ndarray:
+    """Dense partial transform on N qubits: identity on the n most significant
+    qubits tensored with the antiperiodic DFT on the remaining N-n.  The
+    result is a fresh, writable array."""
+    N, n = _check_transform_index(N, n)
+    return np.kron(np.eye(1 << n), antiperiodic_dft(1 << (N - n)))
 
 
 def apply_partial_transform(
@@ -168,8 +175,7 @@ def apply_partial_transform(
     into it in place before its second use.  For n = N the block has length
     one and the FFT is skipped.  The result owns fresh, read-only amplitudes.
     """
-    if not 0 <= n <= state.N:
-        raise ValueError(f"partial-transform index n={n} out of range [0, {state.N}]")
+    _, n = _check_transform_index(state.N, n)
     if direction not in ("forward", "inverse"):
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     m = state.N - n
@@ -229,17 +235,19 @@ def dot_state_product(label: DotLabel) -> StateVector:
     return StateVector._adopt(label.N, amps)
 
 
-def displacement_u(dims: Dimensions) -> np.ndarray:
-    """Momentum-direction displacement, diagonal in position:
+def displacement_u(N: int) -> np.ndarray:
+    """Momentum-direction displacement on N qubits, diagonal in position:
     U = diag(e^{2 pi i q_j})."""
-    q = (np.arange(dims.D) + 0.5) / dims.D
+    D = 1 << _qubit_count(N)
+    q = (np.arange(D) + 0.5) / D
     return np.diag(np.exp(2j * np.pi * q))
 
 
-def displacement_v(dims: Dimensions) -> np.ndarray:
-    """Position-direction displacement V = F diag(e^{-2 pi i p_k}) F^dag;
-    maps |q_j> to |q_{j+1}> with an antiperiodic wrap |q_{D-1}> -> -|q_0>."""
-    fourier = antiperiodic_dft(dims.D)
-    p = (np.arange(dims.D) + 0.5) / dims.D
+def displacement_v(N: int) -> np.ndarray:
+    """Position-direction displacement on N qubits, V = F diag(e^{-2 pi i p_k})
+    F^dag; maps |q_j> to |q_{j+1}> with an antiperiodic wrap |q_{D-1}> -> -|q_0>."""
+    D = 1 << _qubit_count(N)
+    fourier = antiperiodic_dft(D)
+    p = (np.arange(D) + 0.5) / D
     v = fourier @ (np.exp(-2j * np.pi * p)[:, None] * fourier.conj().T)
     return _check_unitary(v, UNITARY_TOL, "displacement V")

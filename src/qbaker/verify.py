@@ -36,10 +36,12 @@ from .bakermap import (
     last_qubit_unitary,
 )
 from .classical import SymbolString, decode, geometric_baker, label_shift, shift
-from .lattice import Dimensions, bits_to_index, iter_labels
+from .lattice import bits_to_index, iter_labels
 from .qfourier import (
     StateVector,
     antiperiodic_dft,
+    displacement_u,
+    displacement_v,
     dot_state_product,
     dot_state_transform,
     partial_transform,
@@ -139,7 +141,7 @@ def time_fast_vs_dense(
     fast_t = best_time(lambda: apply_baker_fast(state, n), reps)
     if state.N > DENSE_CAP_N:
         return fast_t, None, None
-    dense = baker_composed(Dimensions(state.N), n)
+    dense = baker_composed(state.N, n)
     dense_t = best_time(lambda: dense @ state.amps, reps)
     return fast_t, dense_t, float(np.abs(image - dense @ state.amps).max())
 
@@ -152,15 +154,14 @@ def check_unitarity(cap: int, perturb: float = 0.0) -> list[CheckResult]:
     worst = 0.0
     injected = perturb != 0.0
     for N in range(1, min(8, cap) + 1):
-        dims = Dimensions(N)
         for n in range(N + 1):
-            g = partial_transform(dims, n)
+            g = partial_transform(N, n)
             if injected:
                 g[0, 0] += perturb
                 injected = False
             worst = np.maximum(worst, unitarity_defect(g))
         for n in range(1, N + 1):
-            worst = np.maximum(worst, unitarity_defect(baker_composed(dims, n)))
+            worst = np.maximum(worst, unitarity_defect(baker_composed(N, n)))
     details = f"perturbation {perturb:g} injected into one G_n entry" if perturb else ""
     return [_max_result("1 unitarity G_n/B_n", worst, 1e-12, details)]
 
@@ -169,10 +170,9 @@ def check_boundary_identities(cap: int) -> list[CheckResult]:
     """2. G_N = i*I and G_0 equals the antiperiodic DFT, entrywise to 1e-15."""
     worst = 0.0
     for N in range(1, min(8, cap) + 1):
-        dims = Dimensions(N)
-        g_top, g_zero = partial_transform(dims, N), partial_transform(dims, 0)
-        worst = np.maximum(worst, np.abs(g_top - 1j * np.eye(dims.D)).max())
-        worst = np.maximum(worst, np.abs(g_zero - antiperiodic_dft(dims.D)).max())
+        g_top, g_zero = partial_transform(N, N), partial_transform(N, 0)
+        worst = np.maximum(worst, np.abs(g_top - 1j * np.eye(1 << N)).max())
+        worst = np.maximum(worst, np.abs(g_zero - antiperiodic_dft(1 << N)).max())
     return [_max_result("2 boundary identities", worst, 1e-15)]
 
 
@@ -180,9 +180,8 @@ def check_b1_reduction(cap: int) -> list[CheckResult]:
     """3. The n = 1 map equals G_0 G_1^dag entrywise to 1e-12."""
     worst = 0.0
     for N in range(1, min(8, cap) + 1):
-        dims = Dimensions(N)
-        direct = partial_transform(dims, 0) @ partial_transform(dims, 1).conj().T
-        worst = np.maximum(worst, np.abs(baker_composed(dims, 1) - direct).max())
+        direct = partial_transform(N, 0) @ partial_transform(N, 1).conj().T
+        worst = np.maximum(worst, np.abs(baker_composed(N, 1) - direct).max())
     return [_max_result("3 B_1 = G_0 G_1^dag", worst, 1e-12)]
 
 
@@ -190,9 +189,8 @@ def check_route_equivalence(cap: int) -> list[CheckResult]:
     """4. Basis-map and composed constructions agree entrywise to 1e-12."""
     worst = 0.0
     for N in range(1, min(8, cap) + 1):
-        dims = Dimensions(N)
         for n in range(1, N + 1):
-            diff = np.abs(baker_from_basis_map(dims, n) - baker_composed(dims, n)).max()
+            diff = np.abs(baker_from_basis_map(N, n) - baker_composed(N, n)).max()
             worst = np.maximum(worst, diff)
     return [_max_result("4 route equivalence", worst, 1e-12)]
 
@@ -201,9 +199,8 @@ def check_dot_shift_law(cap: int) -> list[CheckResult]:
     """5. <shifted label|B_n|label> = 1 to 1e-12 for every label, N <= 6."""
     worst = 0.0
     for N in range(1, min(6, cap) + 1):
-        dims = Dimensions(N)
         for n in range(1, N + 1):
-            b = baker_composed(dims, n)
+            b = baker_composed(N, n)
             for label in iter_labels(N, n):
                 source = dot_state_transform(label).amps
                 target = dot_state_transform(label_shift(label)).amps
@@ -232,11 +229,9 @@ def check_bn_structure(cap: int, seed: int) -> list[CheckResult]:
     out = []
     worst = 0.0
     for N in range(1, min(8, cap) + 1):
-        dims = Dimensions(N)
-        direct = np.kron(np.eye(1 << (N - 1)), last_qubit_unitary()) @ cyclic_shift_operator(
-            dims, N
-        )
-        worst = np.maximum(worst, np.abs(baker_composed(dims, N) - direct).max())
+        rotate_last = np.kron(np.eye(1 << (N - 1)), last_qubit_unitary())
+        direct = rotate_last @ cyclic_shift_operator(N, N)
+        worst = np.maximum(worst, np.abs(baker_composed(N, N) - direct).max())
     out.append(_max_result("7a B_N = (u on last)*Cyc_N", worst, 1e-12))
 
     top = min(12, cap)
@@ -255,8 +250,7 @@ def check_bn_structure(cap: int, seed: int) -> list[CheckResult]:
 
     if cap >= 3:
         rng = np.random.default_rng([seed, 77])
-        dims = Dimensions(3)
-        b1 = baker_composed(dims, 1)
+        b1 = baker_composed(3, 1)
         best = 0.0
         inputs = [np.eye(8)[:, j] for j in range(8)]
         inputs += [random_product_state(3, rng).amps for _ in range(20)]
@@ -271,17 +265,13 @@ def check_bn_structure(cap: int, seed: int) -> list[CheckResult]:
 
 def check_displacement_algebra(cap: int) -> list[CheckResult]:
     """8. UV = VU e^{2 pi i/D} and U^D = V^D = -1, to 1e-12 for N <= 8."""
-    from .qfourier import displacement_u, displacement_v
-
     worst = 0.0
     for N in range(1, min(8, cap) + 1):
-        dims = Dimensions(N)
-        u = displacement_u(dims)
-        v = displacement_v(dims)
-        eye = np.eye(dims.D)
-        worst = np.maximum(worst, np.abs(u @ v - np.exp(2j * np.pi / dims.D) * (v @ u)).max())
-        worst = np.maximum(worst, np.abs(np.linalg.matrix_power(u, dims.D) + eye).max())
-        worst = np.maximum(worst, np.abs(np.linalg.matrix_power(v, dims.D) + eye).max())
+        D = 1 << N
+        u, v, eye = displacement_u(N), displacement_v(N), np.eye(D)
+        worst = np.maximum(worst, np.abs(u @ v - np.exp(2j * np.pi / D) * (v @ u)).max())
+        worst = np.maximum(worst, np.abs(np.linalg.matrix_power(u, D) + eye).max())
+        worst = np.maximum(worst, np.abs(np.linalg.matrix_power(v, D) + eye).max())
     return [_max_result("8 displacement algebra", worst, 1e-12)]
 
 
@@ -293,8 +283,7 @@ def check_localization(cap: int) -> list[CheckResult]:
     support_ok = True
     bad = ""
     for N in range(1, min(8, cap) + 1):
-        dims = Dimensions(N)
-        dense_f = antiperiodic_dft(dims.D)
+        dense_f = antiperiodic_dft(1 << N)
         for n in range(N + 1):
             for label in iter_labels(N, n):
                 report = check_strict_localization(label)
@@ -348,12 +337,11 @@ def check_fast_path(cap: int, seed: int) -> list[CheckResult]:
     rng = np.random.default_rng([seed, 11])
     worst = 0.0
     for N in range(1, min(10, cap) + 1):
-        dims = Dimensions(N)
         for n in range(1, N + 1):
             states = [random_state(N, rng) for _ in range(100)]
             stack = np.stack([state.amps for state in states], axis=1)
             fast = np.stack([apply_baker_fast(state, n).amps for state in states], axis=1)
-            worst = np.maximum(worst, np.abs(fast - baker_composed(dims, n) @ stack).max())
+            worst = np.maximum(worst, np.abs(fast - baker_composed(N, n) @ stack).max())
     out = [_max_result("11a fast apply vs dense matvec", worst, 1e-10)]
 
     if cap >= 12:
@@ -367,13 +355,10 @@ def check_fast_path(cap: int, seed: int) -> list[CheckResult]:
 
     name = f"11c one N={FAST_CAP_N} step under 5 s"
     if cap >= FAST_CAP_N:
-        state = random_state(FAST_CAP_N, rng)
-        t0 = time.perf_counter()
-        result = apply_baker_fast(state, 1)
-        elapsed = time.perf_counter() - t0
-        out.append(
-            _max_result(name, elapsed, 5.0, f"norm drift {abs(result.norm() - 1.0):.2e}")
-        )
+        state, images = random_state(FAST_CAP_N, rng), []
+        elapsed = best_time(lambda: images.append(apply_baker_fast(state, 1)), reps=1)
+        drift = f"norm drift {abs(images[0].norm() - 1.0):.2e}"
+        out.append(_max_result(name, elapsed, 5.0, drift))
     else:
         out.append(_skip(name, FAST_CAP_N, cap))
     return out
@@ -384,10 +369,9 @@ def check_circuit_lowering(cap: int) -> list[CheckResult]:
     gates, and the N = 1 circuit has eigenphases {0, 3 pi/2}."""
     worst = 0.0
     for N in range(1, min(6, cap) + 1):
-        dims = Dimensions(N)
         for n in range(1, N + 1):
-            got = circuit_to_matrix(emit_circuit(dims, n))
-            worst = np.maximum(worst, np.abs(got - baker_from_basis_map(dims, n)).max())
+            got = circuit_to_matrix(emit_circuit(N, n))
+            worst = np.maximum(worst, np.abs(got - baker_from_basis_map(N, n)).max())
     out = [_max_result("12a circuit vs dense map", worst, 1e-10)]
 
     # the measured worst ratio is 2.33 at N=3, n=1 (fixed small-N overhead)
@@ -395,15 +379,14 @@ def check_circuit_lowering(cap: int) -> list[CheckResult]:
     ratio = 0.0
     heaviest = ""
     for N in range(1, min(8, cap) + 1):
-        dims = Dimensions(N)
         for n in range(1, N + 1):
-            count = len(emit_circuit(dims, n))
+            count = len(emit_circuit(N, n))
             if count / N**2 > ratio:
                 ratio = count / N**2
                 heaviest = f"{count} gates at N={N}, n={n}"
     out.append(_max_result("12b gate count <= c*N^2, c=3", ratio, 3.0, heaviest))
 
-    phases = eigenphases(circuit_to_matrix(emit_circuit(Dimensions(1), 1))).phases
+    phases = eigenphases(circuit_to_matrix(emit_circuit(1, 1))).phases
     worst = float(np.abs(phases - [0.0, 1.5 * np.pi]).max())
     out.append(_max_result("12c N=1 circuit eigenphases {0, 3pi/2}", worst, 1e-10))
     return out
@@ -423,7 +406,7 @@ def check_circuit_vs_fast(cap: int, seed: int) -> list[CheckResult]:
         state = random_state(N, rng)
         worst, where = 0.0, ""
         for n in ns:
-            got = apply_circuit(state.amps, emit_circuit(Dimensions(N), n))
+            got = apply_circuit(state.amps, emit_circuit(N, n))
             diff = np.abs(got - apply_baker_fast(state, n).amps).max()
             if diff >= worst or np.isnan(diff):
                 worst, where = diff, f"worst at n={n}"

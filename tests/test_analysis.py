@@ -10,7 +10,7 @@ from qbaker.analysis import (
     schmidt_entropy,
 )
 from qbaker.bakermap import apply_baker_fast, baker_composed
-from qbaker.lattice import Dimensions, DotLabel, iter_labels
+from qbaker.lattice import DotLabel, iter_labels
 from qbaker.qfourier import (
     StateVector,
     basis_state,
@@ -80,7 +80,7 @@ def test_schmidt_entropy_cut_range():
 
 def test_schmidt_entropy_against_svd_oracle():
     rng = np.random.default_rng(61)
-    b1 = baker_composed(Dimensions(3), 1)
+    b1 = baker_composed(3, 1)
     for _ in range(20):
         state = random_product_state(3, rng)
         image = StateVector(N=3, amps=b1 @ state.amps)
@@ -129,7 +129,7 @@ def test_max_cut_entropy_examples():
 
 def test_b1_entangles_some_input():
     rng = np.random.default_rng(73)
-    b1 = baker_composed(Dimensions(3), 1)
+    b1 = baker_composed(3, 1)
     best = 0.0
     inputs = [basis_state(3, j).amps for j in range(8)]
     inputs += [random_product_state(3, rng).amps for _ in range(20)]
@@ -149,7 +149,7 @@ def test_eigenphases_of_scalar_unitary():
 
 
 def test_eigenphases_of_single_qubit_map():
-    report = eigenphases(baker_composed(Dimensions(1), 1))
+    report = eigenphases(baker_composed(1, 1))
     assert np.abs(report.phases - [0.0, 1.5 * np.pi]).max() < 1e-10
 
 
@@ -163,7 +163,7 @@ def test_eigenphase_just_below_zero_sorts_first(sign):
 
 def test_eigenphases_normalized_spacings():
     for n in (1, 3, 6):
-        report = eigenphases(baker_composed(Dimensions(6), n))
+        report = eigenphases(baker_composed(6, n))
         assert report.unit_modulus_dev < 1e-10
         assert len(report.spacings) == len(report.phases)
         assert abs(report.spacings.mean() - 1.0) < 1e-9
@@ -181,8 +181,8 @@ def test_eigenvalue_multiset_agrees_between_routes():
 
     for N in range(1, 6):
         for n in range(1, N + 1):
-            a = np.linalg.eigvals(baker_from_basis_map(Dimensions(N), n))
-            b = np.linalg.eigvals(baker_composed(Dimensions(N), n))
+            a = np.linalg.eigvals(baker_from_basis_map(N, n))
+            b = np.linalg.eigvals(baker_composed(N, n))
             hausdorff = max(
                 np.abs(a[:, None] - b[None, :]).min(axis=1).max(),
                 np.abs(a[:, None] - b[None, :]).min(axis=0).max(),

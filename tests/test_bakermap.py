@@ -16,7 +16,7 @@ from qbaker.bakermap import (
     last_qubit_unitary,
 )
 from qbaker.classical import label_shift
-from qbaker.lattice import Dimensions, DotLabel, iter_labels
+from qbaker.lattice import DotLabel, iter_labels
 from qbaker.qfourier import (
     StateVector,
     apply_partial_transform,
@@ -38,19 +38,19 @@ U_EXPECTED = np.array(
 
 
 def test_cyclic_shift_examples():
-    assert np.abs(cyclic_shift_operator(Dimensions(3), 1) - np.eye(8)).max() == 0.0
+    assert np.abs(cyclic_shift_operator(3, 1) - np.eye(8)).max() == 0.0
     swap = np.eye(4)[[0, 2, 1, 3]]
-    assert np.abs(cyclic_shift_operator(Dimensions(2), 2) - swap).max() == 0.0
+    assert np.abs(cyclic_shift_operator(2, 2) - swap).max() == 0.0
     # |110> -> |101>
-    out = cyclic_shift_operator(Dimensions(3), 3) @ basis_state(3, 0b110).amps
+    out = cyclic_shift_operator(3, 3) @ basis_state(3, 0b110).amps
     assert np.abs(out - basis_state(3, 0b101).amps).max() == 0.0
 
 
 def test_cyclic_shift_range():
     with pytest.raises(ValueError):
-        cyclic_shift_operator(Dimensions(2), 0)
+        cyclic_shift_operator(2, 0)
     with pytest.raises(ValueError):
-        cyclic_shift_operator(Dimensions(2), 3)
+        cyclic_shift_operator(2, 3)
 
 
 # --- dense constructions -----------------------------------------------------
@@ -63,8 +63,8 @@ def test_last_qubit_unitary_columns():
 
 
 def test_basis_map_n1_is_u():
-    assert np.abs(baker_from_basis_map(Dimensions(1), 1) - U_EXPECTED).max() < 1e-15
-    assert np.abs(baker_composed(Dimensions(1), 1) - U_EXPECTED).max() < 1e-15
+    assert np.abs(baker_from_basis_map(1, 1) - U_EXPECTED).max() < 1e-15
+    assert np.abs(baker_composed(1, 1) - U_EXPECTED).max() < 1e-15
 
 
 def test_phase_space_cell_stretches():
@@ -92,7 +92,7 @@ def test_apply_fast_last_map_single_qubit():
 def test_apply_fast_last_map_matches_dense():
     rng = np.random.default_rng(23)
     for N in range(1, 8):
-        dense = baker_from_basis_map(Dimensions(N), N)
+        dense = baker_from_basis_map(N, N)
         for _ in range(5):
             state = random_state(N, rng)
             out = apply_baker_fast(state, N)
@@ -232,7 +232,7 @@ def test_gate_embeddings_against_kron():
 
 
 def test_apply_circuit_on_states_and_matrices():
-    gl = emit_circuit(Dimensions(3), 1)
+    gl = emit_circuit(3, 1)
     state = random_state(3, np.random.default_rng(7))
     dense = circuit_to_matrix(gl)
     assert np.abs(apply_circuit(state.amps, gl) - dense @ state.amps).max() < 1e-14
@@ -262,7 +262,7 @@ def test_apply_circuit_on_states_and_matrices():
 
 
 def test_emit_circuit_single_qubit_case():
-    gl = emit_circuit(Dimensions(1), 1)
+    gl = emit_circuit(1, 1)
     kinds = [g.kind for g in gl.gates]
     assert kinds == ["single_qubit"]
     assert np.abs(gl.gates[0].matrix - U_EXPECTED).max() < 1e-14
@@ -271,7 +271,7 @@ def test_emit_circuit_single_qubit_case():
 def test_emit_circuit_last_map_shape():
     # n = N lowers to adjacent swaps plus one single-qubit gate, nothing else
     for N in (2, 3, 5):
-        gl = emit_circuit(Dimensions(N), N)
+        gl = emit_circuit(N, N)
         kinds = [g.kind for g in gl.gates]
         assert kinds == ["swap"] * (N - 1) + ["single_qubit"]
         assert gl.gates[-1].targets == (N,)

@@ -9,7 +9,6 @@ import pytest
 from qbaker import cli
 from qbaker.bakermap import baker_composed, last_qubit_unitary
 from qbaker.cli import main
-from qbaker.lattice import Dimensions
 from qbaker.qfourier import antiperiodic_dft, dot_state_transform
 from qbaker.lattice import DotLabel
 
@@ -39,7 +38,7 @@ def test_matrix_csv_roundtrips_exactly(tmp_path):
 def test_matrix_b_n1_is_u(tmp_path):
     out = tmp_path / "b.csv"
     assert main(["matrix", "--target", "B", "--N", "1", "--n", "1", "--out", str(out)]) == 0
-    assert np.array_equal(read_matrix_csv(out), baker_composed(Dimensions(1), 1))
+    assert np.array_equal(read_matrix_csv(out), baker_composed(1, 1))
     assert np.abs(read_matrix_csv(out) - last_qubit_unitary()).max() < 1e-15
 
 
@@ -63,7 +62,7 @@ def test_matrix_json_roundtrips_exactly(tmp_path):
     mat = np.array([[complex(re, im) for re, im in row] for row in nested])
     from qbaker.qfourier import displacement_v
 
-    assert np.array_equal(mat, displacement_v(Dimensions(3)))
+    assert np.array_equal(mat, displacement_v(3))
 
 
 def test_matrix_full_fourier_target(tmp_path):

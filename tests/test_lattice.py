@@ -1,12 +1,11 @@
-import math
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qbaker.bakermap import apply_baker_fast, baker_composed, emit_circuit, iterate
 from qbaker.lattice import (
-    Dimensions,
     DotLabel,
     bits_to_index,
     index_to_bits,
@@ -15,24 +14,56 @@ from qbaker.lattice import (
     momentum_eigenvalue,
     position_eigenvalue,
 )
+from qbaker.qfourier import (
+    apply_partial_transform,
+    basis_state,
+    displacement_u,
+    partial_transform,
+)
 
+# builders that take a qubit count N as their first argument
+N_BUILDERS = {
+    "iter_labels": lambda N: list(iter_labels(N, 0)),
+    "position_eigenvalue": lambda N: position_eigenvalue(N, 0),
+    "partial_transform": lambda N: partial_transform(N, 0),
+    "displacement_u": displacement_u,
+    "basis_state": lambda N: basis_state(N, 0),
+    "baker_composed": lambda N: baker_composed(N, 1),
+    "emit_circuit": lambda N: emit_circuit(N, 1),
+}
 
-def test_dimensions_invariants():
-    for N in range(1, 13):
-        dims = Dimensions(N)
-        assert dims.D == 2**N
-        assert abs(2.0 * math.pi * dims.hbar * dims.D - 1.0) < 1e-15
+# entry points that take a map or transform index n, all on N = 2
+INDEX_ENTRY_POINTS = {
+    "apply_baker_fast": lambda n: apply_baker_fast(basis_state(2, 0), n),
+    "iterate": lambda n: iterate(basis_state(2, 0), n, 1),
+    "apply_partial_transform": lambda n: apply_partial_transform(basis_state(2, 0), n),
+    "partial_transform": lambda n: partial_transform(2, n),
+    "baker_composed": lambda n: baker_composed(2, n),
+    "iter_labels": lambda n: list(iter_labels(2, n)),
+}
 
 
 @pytest.mark.parametrize("bad", [0, -1, 1.5, "3", True])
 def test_dimensions_rejects_bad_qubit_counts(bad):
+    for build in N_BUILDERS.values():
+        with pytest.raises(ValueError, match="^qubit count"):
+            build(bad)
+
+
+@pytest.mark.parametrize("entry", sorted(INDEX_ENTRY_POINTS))
+@pytest.mark.parametrize("bad_n", [1.0, True, "1"])
+def test_map_and_transform_indices_reject_non_integers(entry, bad_n):
     with pytest.raises(ValueError):
-        Dimensions(bad)
+        INDEX_ENTRY_POINTS[entry](bad_n)
 
 
 def test_qubit_counts_accept_numpy_integers():
-    dims = Dimensions(np.int64(3))
-    assert dims.N == 3 and type(dims.N) is int
+    q = position_eigenvalue(np.int64(3), np.int64(3))
+    assert q == Fraction(7, 16) and type(q.denominator) is int
+    N, n = np.int64(3), np.int64(1)
+    assert np.array_equal(baker_composed(N, n), baker_composed(3, 1))
+    assert np.array_equal(apply_baker_fast(basis_state(N, 0), n).amps,
+                          apply_baker_fast(basis_state(3, 0), 1).amps)
     label = DotLabel(N=np.int64(2), n=np.int64(1), xbits=(1,), abits=(0,))
     assert label.N == 2 and type(label.N) is int
     assert label.n == 1 and type(label.n) is int
@@ -49,7 +80,7 @@ def test_dot_label_rejects_bad_dot_positions(bad_n):
     [(3, 3, Fraction(7, 16)), (1, 0, Fraction(1, 4)), (2, 3, Fraction(7, 8))],
 )
 def test_position_eigenvalue_examples(N, j, expected):
-    assert position_eigenvalue(Dimensions(N), j) == expected
+    assert position_eigenvalue(N, j) == expected
 
 
 @pytest.mark.parametrize(
@@ -57,24 +88,22 @@ def test_position_eigenvalue_examples(N, j, expected):
     [(3, 5, Fraction(11, 16)), (1, 1, Fraction(3, 4)), (4, 0, Fraction(1, 32))],
 )
 def test_momentum_eigenvalue_examples(N, k, expected):
-    assert momentum_eigenvalue(Dimensions(N), k) == expected
+    assert momentum_eigenvalue(N, k) == expected
 
 
 def test_eigenvalue_index_range():
-    dims = Dimensions(2)
-    for bad in (-1, dims.D):
+    for bad in (-1, 4):
         with pytest.raises(IndexError):
-            position_eigenvalue(dims, bad)
+            position_eigenvalue(2, bad)
         with pytest.raises(IndexError):
-            momentum_eigenvalue(dims, bad)
+            momentum_eigenvalue(2, bad)
 
 
 def test_position_lattice_spacing_exact():
     for N in range(1, 9):
-        dims = Dimensions(N)
-        values = [position_eigenvalue(dims, j) for j in range(dims.D)]
+        values = [position_eigenvalue(N, j) for j in range(2**N)]
         assert all(0 < v < 1 for v in values)
-        assert all(b - a == Fraction(1, dims.D) for a, b in zip(values, values[1:]))
+        assert all(b - a == Fraction(1, 2**N) for a, b in zip(values, values[1:]))
 
 
 @pytest.mark.parametrize(

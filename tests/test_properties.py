@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from qbaker.bakermap import apply_baker_fast, apply_circuit, baker_composed, emit_circuit
 from qbaker.classical import SymbolString, decode, geometric_baker, shift
 from qbaker.cli import main
-from qbaker.lattice import Dimensions, DotLabel
+from qbaker.lattice import DotLabel
 from qbaker.qfourier import (
     antiperiodic_dft,
     displacement_u,
@@ -72,7 +72,7 @@ def map_cases(draw):
 def test_circuit_matches_fast_apply(case):
     N, n, seed = case
     state = random_state(N, np.random.default_rng(seed))
-    got = apply_circuit(state.amps, emit_circuit(Dimensions(N), n))
+    got = apply_circuit(state.amps, emit_circuit(N, n))
     assert np.abs(got - apply_baker_fast(state, n).amps).max() < 1e-12
 
 
@@ -81,7 +81,7 @@ def test_circuit_matches_fast_apply(case):
 def test_fast_apply_matches_composed_matrix(case):
     N, n, seed = case
     state = random_state(N, np.random.default_rng(seed))
-    want = baker_composed(Dimensions(N), n) @ state.amps
+    want = baker_composed(N, n) @ state.amps
     assert np.abs(apply_baker_fast(state, n).amps - want).max() < 1e-12
 
 
@@ -136,13 +136,12 @@ def matrix_targets(draw):
 @given(matrix_targets(), st.sampled_from(["csv", "json"]))
 def test_matrix_export_roundtrips(case, fmt):
     target, N, n = case
-    dims = Dimensions(N)
     want = {
-        "G": lambda: partial_transform(dims, n),
-        "B": lambda: baker_composed(dims, n),
-        "U": lambda: displacement_u(dims),
-        "V": lambda: displacement_v(dims),
-        "F": lambda: antiperiodic_dft(dims.D),
+        "G": lambda: partial_transform(N, n),
+        "B": lambda: baker_composed(N, n),
+        "U": lambda: displacement_u(N),
+        "V": lambda: displacement_v(N),
+        "F": lambda: antiperiodic_dft(1 << N),
     }[target]()
     argv = ["matrix", "--target", target, "--N", str(N), "--n", str(n), "--format", fmt]
     text = _export(argv)

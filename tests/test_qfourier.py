@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qbaker.bakermap import apply_baker_fast
-from qbaker.lattice import Dimensions, DotLabel, iter_labels
+from qbaker.lattice import DotLabel, iter_labels
 from qbaker.qfourier import (
     StateVector,
     _phase_ladder,
@@ -90,15 +90,14 @@ def test_kernel_rejects_non_powers_of_two(M):
 
 
 def test_partial_transform_boundaries():
-    dims = Dimensions(2)
-    assert np.abs(partial_transform(dims, 2) - 1j * np.eye(4)).max() < 1e-15
-    assert np.abs(partial_transform(Dimensions(1), 0) - antiperiodic_dft(2)).max() < 1e-15
+    assert np.abs(partial_transform(2, 2) - 1j * np.eye(4)).max() < 1e-15
+    assert np.abs(partial_transform(1, 0) - antiperiodic_dft(2)).max() < 1e-15
 
 
 def test_partial_transform_block_structure():
     # one kernel copy per leading-bit block, exactly
     k2 = antiperiodic_dft(2)
-    g = partial_transform(Dimensions(2), 1)
+    g = partial_transform(2, 1)
     expected = np.zeros((4, 4), dtype=complex)
     expected[:2, :2] = k2
     expected[2:, 2:] = k2
@@ -106,23 +105,23 @@ def test_partial_transform_block_structure():
     for N in range(1, 7):
         for n in range(N + 1):
             kron = np.kron(np.eye(2**n), dense_kernel(2 ** (N - n)))
-            assert np.abs(partial_transform(Dimensions(N), n) - kron).max() < 1e-14
+            assert np.abs(partial_transform(N, n) - kron).max() < 1e-14
 
 
 def test_partial_transform_unitary():
     for N in range(1, 9):
         for n in range(N + 1):
-            assert unitarity_defect(partial_transform(Dimensions(N), n)) < 1e-12
+            assert unitarity_defect(partial_transform(N, n)) < 1e-12
 
 
 def test_partial_transform_range():
     with pytest.raises(ValueError):
-        partial_transform(Dimensions(2), 3)
+        partial_transform(2, 3)
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])
 def test_partial_transform_is_fresh_and_writable(n):
-    g = partial_transform(Dimensions(3), n)
+    g = partial_transform(3, n)
     assert g.flags.writeable
     assert not np.shares_memory(g, antiperiodic_dft(1 << (3 - n)))
 
@@ -152,7 +151,7 @@ def test_apply_matches_dense_all_n(N):
     states = [random_state(N, rng) for _ in range(100)]
     stack = np.stack([state.amps for state in states], axis=1)
     for n in range(N + 1):
-        g = partial_transform(Dimensions(N), n)
+        g = partial_transform(N, n)
         fwd, inv = g @ stack, g.conj().T @ stack
         for j, state in enumerate(states):
             assert np.abs(apply_partial_transform(state, n).amps - fwd[:, j]).max() < 1e-10
@@ -284,16 +283,16 @@ def test_dot_state_strict_position_zeros():
 
 
 def test_displacement_u_values():
-    assert np.abs(displacement_u(Dimensions(1)) - np.diag([1j, -1j])).max() < 1e-15
+    assert np.abs(displacement_u(1) - np.diag([1j, -1j])).max() < 1e-15
     expected = np.diag(np.exp(1j * np.pi * np.array([1, 3, 5, 7]) / 4))
-    assert np.abs(displacement_u(Dimensions(2)) - expected).max() < 1e-15
+    assert np.abs(displacement_u(2) - expected).max() < 1e-15
 
 
 def test_displacement_v_is_antiperiodic_shift():
-    v = displacement_v(Dimensions(1))
+    v = displacement_v(1)
     assert np.abs(v - np.array([[0.0, -1.0], [1.0, 0.0]])).max() < 1e-12
     for N in (2, 3, 4):
-        v = displacement_v(Dimensions(N))
+        v = displacement_v(N)
         D = 2**N
         expected = np.zeros((D, D))
         expected[1:, :-1] = np.eye(D - 1)
