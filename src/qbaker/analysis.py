@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import label_shift
-from .lattice import DotLabel, bits_to_index
+from .lattice import DotLabel, _integer, bits_to_index
 from .qfourier import StateVector, apply_partial_transform, dot_state_transform, _check_unitary
 from .bakermap import apply_baker_fast
 
@@ -84,8 +84,7 @@ def schmidt_entropy(state: StateVector, cut: int) -> float:
     while the singular values read about 1e-15.  A basis state still reads
     exactly 0.
     """
-    if not 1 <= cut <= state.N - 1:
-        raise ValueError(f"cut {cut} out of range [1, {state.N - 1}]")
+    cut = _integer(cut, 1, state.N - 1, "cut")
     matrix = state.amps.reshape(1 << cut, -1)
     if 2 * cut > state.N:
         matrix = matrix.T
@@ -124,10 +123,7 @@ def correspondence_trajectory(label: DotLabel, steps: int) -> list[Correspondenc
 
     The dot can move right at most n times, so steps must not exceed label.n.
     """
-    if steps < 0:
-        raise ValueError(f"step count must be non-negative, got {steps}")
-    if steps > label.n:
-        raise ValueError(f"dot exhausted: {steps} steps requested but n={label.n}")
+    steps = _integer(steps, 0, label.n, "step count (dot exhausted after n)")
     state = dot_state_transform(label)
     current = label
     out: list[CorrespondenceStep] = []

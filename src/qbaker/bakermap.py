@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .classical import label_shift
-from .lattice import _qubit_count, iter_labels
+from .lattice import _integer, iter_labels
 from .qfourier import (
     UNITARY_TOL,
     StateVector,
@@ -64,9 +64,9 @@ class Gate:
     def __post_init__(self) -> None:
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        targets = tuple(int(t) for t in self.targets)
-        if any(t < 1 for t in targets) or len(set(targets)) != len(targets):
-            raise ValueError(f"targets must be distinct slots >= 1, got {targets}")
+        targets = tuple(_integer(t, noun="gate target") for t in self.targets)
+        if len(set(targets)) != len(targets):
+            raise ValueError(f"targets must be distinct slots, got {targets}")
         object.__setattr__(self, "targets", targets)
         if self.kind == "single_qubit":
             if len(targets) != 1 or self.matrix is None:
@@ -104,7 +104,7 @@ class GateList:
     gates: tuple[Gate, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "N", _qubit_count(self.N))
+        object.__setattr__(self, "N", _integer(self.N))
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if any(t > self.N for t in g.targets):
@@ -116,10 +116,8 @@ class GateList:
 
 def _check_map_index(N: int, n: int) -> tuple[int, int]:
     """(N, n) as plain ints with 1 <= n <= N, else a ValueError."""
-    N, n = _qubit_count(N), _qubit_count(n, noun="map index n")
-    if n > N:
-        raise ValueError(f"map index n={n} out of range [1, {N}]")
-    return N, n
+    N = _integer(N)
+    return N, _integer(n, 1, N, "map index n")
 
 
 def _cyclic_rows(arr: np.ndarray, N: int, n: int) -> np.ndarray:
@@ -207,8 +205,7 @@ def iterate(
     The hook, if given, sees (0, initial state) and then (k, state after step
     k) for each step.  The map index stays fixed for the whole trajectory.
     """
-    if steps < 0:
-        raise ValueError(f"step count must be non-negative, got {steps}")
+    steps = _integer(steps, 0, noun="step count")
     _, n = _check_map_index(state.N, n)
     if observe is not None:
         observe(0, state)

@@ -9,12 +9,15 @@ by bit strings with slot 1 the most significant bit, j = sum_l x_l 2^(N-l).
 A dot label a_{N-n}...a_1.x_1...x_n names one state of the dot basis: the n
 bits right of the dot fix a position window of width 1/2^n, the N-n bits
 left of the dot (read backwards) fix a momentum window of width 1/2^(N-n).
-Everything here is exact integer/rational arithmetic.  N and n are plain
-ints throughout the package, each checked by `_qubit_count`.
+Everything here is exact integer/rational arithmetic.  Every integer argument
+in the package (qubit count N, map and dot index n, cut, step count, bit) is
+a plain int checked by the one rule `_integer`; the subscripts j and k share
+its type part, `_as_int`, and keep their own IndexError bounds.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,11 +26,33 @@ from typing import Iterator, Sequence
 Bits = tuple[int, ...]
 
 
+def _as_int(value, noun: str, least: int | None = None) -> int:
+    """value as a plain int, and >= least when least is given; any integer
+    type but bool is accepted, anything else is a ValueError naming the noun."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or (least is not None and number < least):
+        rule = "an integer" if least is None else f"an integer >= {least}"
+        raise ValueError(f"{noun} must be {rule}, got {value!r}")
+    return number
+
+
+def _integer(
+    value, least: int = 1, most: int | None = None, noun: str = "qubit count"
+) -> int:
+    """value as a plain int in [least, most] (no upper bound if most is None).
+    The one rule for every integer argument: qubit counts, map and dot
+    indices, cuts, step counts, repetitions and bits."""
+    number = _as_int(value, noun, least)
+    if most is not None and number > most:
+        raise ValueError(f"{noun}={number} out of range [{least}, {most}]")
+    return number
+
+
 def _as_bits(bits: Sequence[int]) -> Bits:
-    out = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in out):
-        raise ValueError(f"bits must be 0 or 1, got {bits!r}")
-    return out
+    return tuple(_integer(b, 0, 1, "bit") for b in bits)
 
 
 def _dotted_text(inner: Bits, right: Bits) -> str:
@@ -45,21 +70,9 @@ def _parse_dotted(text: str, noun: str) -> tuple[Bits, Bits]:
     return tuple(int(c) for c in reversed(before)), tuple(int(c) for c in after)
 
 
-def _qubit_count(count, least: int = 1, noun: str = "qubit count") -> int:
-    """count as a plain int >= least; any integer type but bool is accepted.
-    The one check for qubit counts N and for the map and dot indices n."""
-    try:
-        value = operator.index(count)
-    except TypeError:
-        value = least - 1
-    if isinstance(count, bool) or value < least:
-        raise ValueError(f"{noun} must be an integer >= {least}, got {count!r}")
-    return value
-
-
 def position_eigenvalue(N: int, j: int) -> Fraction:
     """Position eigenvalue q_j = (j + 1/2)/D, D = 2^N, as an exact rational."""
-    D = 1 << _qubit_count(N)
+    D, j = 1 << _integer(N), _as_int(j, "position index")
     if not 0 <= j < D:
         raise IndexError(f"position index {j} out of range [0, {D})")
     return Fraction(2 * j + 1, 2 * D)
@@ -67,7 +80,7 @@ def position_eigenvalue(N: int, j: int) -> Fraction:
 
 def momentum_eigenvalue(N: int, k: int) -> Fraction:
     """Momentum eigenvalue p_k = (k + 1/2)/D, same half-integer lattice as q."""
-    D = 1 << _qubit_count(N)
+    D, k = 1 << _integer(N), _as_int(k, "momentum index")
     if not 0 <= k < D:
         raise IndexError(f"momentum index {k} out of range [0, {D})")
     return Fraction(2 * k + 1, 2 * D)
@@ -83,8 +96,7 @@ def bits_to_index(bits: Sequence[int]) -> int:
 
 def index_to_bits(length: int, j: int) -> Bits:
     """Inverse of bits_to_index: the `length`-bit big-endian expansion of j."""
-    if length < 0:
-        raise ValueError(f"bit length must be non-negative, got {length}")
+    length, j = _integer(length, 0, noun="bit length"), _as_int(j, "index")
     if not 0 <= j < (1 << length):
         raise IndexError(f"index {j} does not fit in {length} bits")
     return tuple((j >> (length - 1 - l)) & 1 for l in range(length))
@@ -105,10 +117,8 @@ class DotLabel:
     abits: Bits
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "N", _qubit_count(self.N))
-        object.__setattr__(self, "n", _qubit_count(self.n, least=0, noun="dot position n"))
-        if self.n > self.N:
-            raise ValueError(f"dot position n={self.n} out of range [0, {self.N}]")
+        object.__setattr__(self, "N", _integer(self.N))
+        object.__setattr__(self, "n", _integer(self.n, 0, self.N, "dot position n"))
         object.__setattr__(self, "xbits", _as_bits(self.xbits))
         object.__setattr__(self, "abits", _as_bits(self.abits))
         if len(self.xbits) != self.n:
@@ -178,10 +188,11 @@ def label_cell(label: DotLabel) -> PhasePoint:
 
 
 def iter_labels(N: int, n: int) -> Iterator[DotLabel]:
-    """All 2^N dot labels for fixed (N, n), in basis-index order."""
-    N, n = _qubit_count(N), _qubit_count(n, least=0, noun="dot position n")
-    if n > N:
-        raise ValueError(f"dot position n={n} out of range [0, {N}]")
-    for j in range(1 << N):
-        bits = index_to_bits(N, j)
-        yield DotLabel(N=N, n=n, xbits=bits[:n], abits=bits[n:])
+    """All 2^N dot labels for fixed (N, n), in basis-index order.  N and n are
+    checked when it is called, not at the first label."""
+    N = _integer(N)
+    n = _integer(n, 0, N, "dot position n")
+    return (
+        DotLabel(N=N, n=n, xbits=bits[:n], abits=bits[n:])
+        for bits in itertools.product((0, 1), repeat=N)
+    )

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import DotLabel, _binary_fraction, _qubit_count
+from .lattice import DotLabel, _as_int, _binary_fraction, _integer
 
 NORM_TOL = 1e-12
 UNITARY_TOL = 1e-12
@@ -63,7 +63,7 @@ class StateVector:
         return state
 
     def _freeze(self, arr: np.ndarray) -> None:
-        object.__setattr__(self, "N", _qubit_count(self.N))
+        object.__setattr__(self, "N", _integer(self.N))
         arr = arr.ravel()
         if arr.size != (1 << self.N):
             raise ValueError(
@@ -93,7 +93,7 @@ def statevector(amps: np.ndarray) -> StateVector:
 
 def basis_state(N: int, j: int) -> StateVector:
     """Computational (= position) basis state |q_j>."""
-    D = 1 << _qubit_count(N)
+    D, j = 1 << _integer(N), _as_int(j, "basis index")
     if not 0 <= j < D:
         raise IndexError(f"basis index {j} out of range [0, {D})")
     amps = np.zeros(D, dtype=np.complex128)
@@ -103,7 +103,7 @@ def basis_state(N: int, j: int) -> StateVector:
 
 def random_state(N: int, rng: np.random.Generator) -> StateVector:
     """Haar-random state: normalized complex Gaussian amplitudes."""
-    D = 1 << _qubit_count(N)
+    D = 1 << _integer(N)
     amps = rng.standard_normal(D) + 1j * rng.standard_normal(D)
     amps /= np.linalg.norm(amps)
     return StateVector._adopt(N, amps)
@@ -111,7 +111,7 @@ def random_state(N: int, rng: np.random.Generator) -> StateVector:
 
 def random_product_state(N: int, rng: np.random.Generator) -> StateVector:
     """Random product state: one normalized complex Gaussian qubit per slot."""
-    N = _qubit_count(N)
+    N = _integer(N)
     amps = np.ones(1, dtype=np.complex128)
     for _ in range(N):
         qubit = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -139,7 +139,8 @@ def antiperiodic_dft(M: int) -> np.ndarray:
     is unitarity-checked on every build and returned as a fresh, writable
     array.
     """
-    if M < 1 or (M & (M - 1)) != 0:
+    M = _integer(M, noun="transform size")
+    if M & (M - 1):
         raise ValueError(f"transform size must be a power of two >= 1, got {M}")
     half = np.arange(M) + 0.5
     kernel = np.exp(2j * np.pi * np.outer(half, half) / M) / np.sqrt(M)
@@ -148,10 +149,8 @@ def antiperiodic_dft(M: int) -> np.ndarray:
 
 def _check_transform_index(N: int, n: int) -> tuple[int, int]:
     """(N, n) as plain ints with 0 <= n <= N, else a ValueError."""
-    N, n = _qubit_count(N), _qubit_count(n, least=0, noun="partial-transform index n")
-    if n > N:
-        raise ValueError(f"partial-transform index n={n} out of range [0, {N}]")
-    return N, n
+    N = _integer(N)
+    return N, _integer(n, 0, N, "partial-transform index n")
 
 
 def partial_transform(N: int, n: int) -> np.ndarray:
@@ -238,7 +237,7 @@ def dot_state_product(label: DotLabel) -> StateVector:
 def displacement_u(N: int) -> np.ndarray:
     """Momentum-direction displacement on N qubits, diagonal in position:
     U = diag(e^{2 pi i q_j})."""
-    D = 1 << _qubit_count(N)
+    D = 1 << _integer(N)
     q = (np.arange(D) + 0.5) / D
     return np.diag(np.exp(2j * np.pi * q))
 
@@ -246,7 +245,7 @@ def displacement_u(N: int) -> np.ndarray:
 def displacement_v(N: int) -> np.ndarray:
     """Position-direction displacement on N qubits, V = F diag(e^{-2 pi i p_k})
     F^dag; maps |q_j> to |q_{j+1}> with an antiperiodic wrap |q_{D-1}> -> -|q_0>."""
-    D = 1 << _qubit_count(N)
+    D = 1 << _integer(N)
     fourier = antiperiodic_dft(D)
     p = (np.arange(D) + 0.5) / D
     v = fourier @ (np.exp(-2j * np.pi * p)[:, None] * fourier.conj().T)

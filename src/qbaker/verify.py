@@ -36,7 +36,7 @@ from .bakermap import (
     last_qubit_unitary,
 )
 from .classical import SymbolString, decode, geometric_baker, label_shift, shift
-from .lattice import bits_to_index, iter_labels
+from .lattice import _integer, bits_to_index, iter_labels
 from .qfourier import (
     StateVector,
     antiperiodic_dft,
@@ -123,7 +123,7 @@ def _skip(name: str, needed: int, cap: int) -> CheckResult:
 def best_time(fn, reps: int = 5) -> float:
     """Smallest wall time of `reps` calls of fn, in seconds."""
     best = float("inf")
-    for _ in range(reps):
+    for _ in range(_integer(reps, noun="reps")):
         t0 = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - t0)
@@ -137,6 +137,7 @@ def time_fast_vs_dense(
     `reps` timed fast applies after one warm-up call, then, up to the dense
     cap, the best of `reps` dense matvecs and the largest entrywise difference
     of the two images.  Above the cap the last two are None."""
+    reps = _integer(reps, noun="reps")  # before the warm-up call
     image = apply_baker_fast(state, n).amps  # the warm-up call, kept for err
     fast_t = best_time(lambda: apply_baker_fast(state, n), reps)
     if state.N > DENSE_CAP_N:
@@ -439,10 +440,8 @@ def run_all(
     max_n: int | None = None, seed: int = DEFAULT_SEED, perturb: float = 0.0
 ) -> list[CheckResult]:
     """Run every acceptance criterion, clamped to max_n when given."""
-    if max_n is not None and max_n < 1:
-        raise ValueError(f"max_n must be at least 1, got {max_n}")
+    cap = FAST_CAP_N if max_n is None else _integer(max_n, noun="max_n")
     _check_seed(seed)  # reject a bad seed before any criterion runs
-    cap = FAST_CAP_N if max_n is None else max_n
     results: list[CheckResult] = []
     for criterion in criteria(cap, seed, perturb):
         batch: list[CheckResult] = []

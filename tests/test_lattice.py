@@ -4,7 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qbaker.bakermap import apply_baker_fast, baker_composed, emit_circuit, iterate
+from qbaker.analysis import correspondence_trajectory, schmidt_entropy
+from qbaker.bakermap import Gate, apply_baker_fast, baker_composed, emit_circuit, iterate
+from qbaker.classical import SymbolString
 from qbaker.lattice import (
     DotLabel,
     bits_to_index,
@@ -15,11 +17,13 @@ from qbaker.lattice import (
     position_eigenvalue,
 )
 from qbaker.qfourier import (
+    antiperiodic_dft,
     apply_partial_transform,
     basis_state,
     displacement_u,
     partial_transform,
 )
+from qbaker.verify import best_time, run_all, time_fast_vs_dense
 
 # builders that take a qubit count N as their first argument
 N_BUILDERS = {
@@ -32,7 +36,9 @@ N_BUILDERS = {
     "emit_circuit": lambda N: emit_circuit(N, 1),
 }
 
-# entry points that take a map or transform index n, all on N = 2
+# entry points that take an integer argument (a map or transform index n, a
+# basis index, a step count, a cut, a bit, ...), all on N = 2; each lambda
+# puts its parameter in that argument's place
 INDEX_ENTRY_POINTS = {
     "apply_baker_fast": lambda n: apply_baker_fast(basis_state(2, 0), n),
     "iterate": lambda n: iterate(basis_state(2, 0), n, 1),
@@ -40,6 +46,22 @@ INDEX_ENTRY_POINTS = {
     "partial_transform": lambda n: partial_transform(2, n),
     "baker_composed": lambda n: baker_composed(2, n),
     "iter_labels": lambda n: list(iter_labels(2, n)),
+    "iter_labels_not_iterated": lambda n: iter_labels(2, n),
+    "basis_state_index": lambda j: basis_state(2, j),
+    "iterate_steps": lambda steps: iterate(basis_state(2, 0), 1, steps),
+    "position_eigenvalue_index": lambda j: position_eigenvalue(2, j),
+    "momentum_eigenvalue_index": lambda k: momentum_eigenvalue(2, k),
+    "schmidt_entropy_cut": lambda cut: schmidt_entropy(basis_state(2, 0), cut),
+    "gate_target": lambda t: Gate.swap(t, 2),
+    "bits_to_index_bit": lambda b: bits_to_index([b, 0]),
+    "index_to_bits_length": lambda length: index_to_bits(length, 0),
+    "index_to_bits_index": lambda j: index_to_bits(2, j),
+    "symbol_string_bit": lambda b: SymbolString(left=(1, 0), right=(b,)),
+    "correspondence_steps": lambda steps: correspondence_trajectory(DotLabel.parse(".1"), steps),
+    "best_time_reps": lambda reps: best_time(lambda: None, reps=reps),
+    "time_fast_vs_dense_reps": lambda reps: time_fast_vs_dense(basis_state(2, 0), 1, reps),
+    "run_all_max_n": lambda max_n: run_all(max_n=max_n),
+    "antiperiodic_dft_size": antiperiodic_dft,
 }
 
 
@@ -57,6 +79,33 @@ def test_map_and_transform_indices_reject_non_integers(entry, bad_n):
         INDEX_ENTRY_POINTS[entry](bad_n)
 
 
+def test_iter_labels_checks_when_called():
+    with pytest.raises(ValueError, match="^qubit count"):
+        iter_labels(0, 0)
+    with pytest.raises(ValueError, match=r"^dot position n=3 out of range \[0, 2\]$"):
+        iter_labels(2, 3)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: iterate(basis_state(2, 0), 1, 1.5),
+         "step count must be an integer >= 0, got 1.5"),
+        (lambda: basis_state(2, True), "basis index must be an integer, got True"),
+        (lambda: schmidt_entropy(basis_state(2, 0), 2), "cut=2 out of range [1, 1]"),
+        (lambda: Gate.swap(1.7, 2), "gate target must be an integer >= 1, got 1.7"),
+        (lambda: bits_to_index([0, 2]), "bit=2 out of range [0, 1]"),
+        (lambda: best_time(lambda: None, reps=0), "reps must be an integer >= 1, got 0"),
+        (lambda: run_all(max_n=True), "max_n must be an integer >= 1, got True"),
+        (lambda: correspondence_trajectory(DotLabel.parse("1.0"), 2),
+         "step count (dot exhausted after n)=2 out of range [0, 1]"),
+    ],
+)
+def test_rejected_integers_name_the_argument(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_qubit_counts_accept_numpy_integers():
     q = position_eigenvalue(np.int64(3), np.int64(3))
     assert q == Fraction(7, 16) and type(q.denominator) is int
@@ -67,6 +116,13 @@ def test_qubit_counts_accept_numpy_integers():
     label = DotLabel(N=np.int64(2), n=np.int64(1), xbits=(1,), abits=(0,))
     assert label.N == 2 and type(label.N) is int
     assert label.n == 1 and type(label.n) is int
+    assert basis_state(2, np.int64(3)).amps[3] == 1.0
+    assert np.array_equal(iterate(basis_state(N, 0), n, np.int64(2)).amps,
+                          iterate(basis_state(3, 0), 1, 2).amps)
+    bits = np.random.default_rng(5).integers(0, 2, size=4)  # as criterion 10a draws them
+    assert bits_to_index(bits) == int("".join(map(str, bits)), 2)
+    s = SymbolString(left=bits[:2], right=bits[2:])
+    assert all(type(b) is int for b in s.left + s.right)
 
 
 @pytest.mark.parametrize("bad_n", [1.0, True, -1, "1"])
