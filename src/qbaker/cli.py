@@ -10,10 +10,10 @@ flags straight to qbaker, and main turns any ValueError or OSError it raises
 into a usage error that quotes the library's message.  The CLI itself checks
 only its own policy: the size caps (`_check_cap`: N=12 for the dense `matrix`
 and `spectrum`, N=20 for every other command), which flags go together, and
-the state file's layout; its amplitudes enter through `statevector`, which
-checks them like any other state.  A qbaker self-check failure (say, a kernel
-that is not unitary) therefore also exits 2 with its message.  Every JSON
-export writes a complex entry as an [re, im] pair of floats (`_pairs`).
+the state file's layout; `statevector` hands its amplitudes to the one check
+of a state, the `StateVector` constructor.  A qbaker self-check failure (say,
+a kernel that is not unitary) therefore also exits 2 with its message.  Every
+JSON export writes a complex entry as an [re, im] pair of floats (`_pairs`).
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .qfourier import (
     dot_state_transform,
     partial_transform,
     random_product_state,
-    random_state,
     statevector,
 )
 from .verify import DEFAULT_SEED, _check_seed, run_all, time_fast_vs_dense
@@ -86,18 +85,17 @@ def _target_matrix(parser, args) -> np.ndarray:
     return antiperiodic_dft(1 << N)  # F
 
 
-def _matrix_csv(mat: np.ndarray) -> str:
-    lines = ["row,col,re,im"]
-    for r in range(mat.shape[0]):
-        for c in range(mat.shape[1]):
-            z = mat[r, c]
-            lines.append(f"{r},{c},{_fmt(z.real)},{_fmt(z.imag)}")
+def _csv(header: str, arr: np.ndarray) -> str:
+    """The header, then one row per entry of arr in C order: its indices, re, im."""
+    lines = [header]
+    for index, z in zip(np.ndindex(arr.shape), arr.ravel().tolist()):
+        lines.append(",".join(map(str, index)) + f",{_fmt(z.real)},{_fmt(z.imag)}")
     return "\n".join(lines) + "\n"
 
 
 def cmd_matrix(args, parser) -> int:
     mat = _target_matrix(parser, args)
-    text = _matrix_csv(mat) if args.format == "csv" else json.dumps(_pairs(mat)) + "\n"
+    text = _csv("row,col,re,im", mat) if args.format == "csv" else json.dumps(_pairs(mat)) + "\n"
     _write(text, args.out)
     return 0
 
@@ -107,10 +105,7 @@ def cmd_state(args, parser) -> int:
     _check_cap(parser, "state", label.N, FAST_CAP_N)
     state = dot_state_product(label) if args.route == "product" else dot_state_transform(label)
     if args.format == "csv":
-        lines = ["index,re,im"]
-        for j, z in enumerate(state.amps):
-            lines.append(f"{j},{_fmt(z.real)},{_fmt(z.imag)}")
-        text = "\n".join(lines) + "\n"
+        text = _csv("index,re,im", state.amps)
     else:
         text = json.dumps({"N": state.N, "amps": _pairs(state.amps)}) + "\n"
     _write(text, args.out)
@@ -263,7 +258,7 @@ def cmd_bench(args, parser) -> int:
     lines = [f"# seed={args.seed}", "N,n,dense_ms,fast_ms,speedup,max_abs_err"]
     for N in args.N:
         n = min(args.n, N)
-        fast_t, dense_t, err = time_fast_vs_dense(random_state(N, rng), n, args.reps)
+        fast_t, dense_t, err = time_fast_vs_dense(N, n, rng, args.reps)
         if dense_t is None:
             lines.append(f"{N},{n},,{_fmt(fast_t * 1e3)},,")
         else:

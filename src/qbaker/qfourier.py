@@ -25,8 +25,8 @@ and swaps, drives the gate-level lowering in `bakermap.emit_circuit`.
 
 Dense matrices are plain complex ndarrays; states are thin immutable wrappers
 around a length-2^N amplitude vector with slot 1 the most significant qubit.
-An array is copied only where it arrives from a caller (`StateVector(...)`,
-`statevector`); the states qbaker builds itself adopt their fresh arrays.
+A caller's array enters through `StateVector(...)`, which copies it and checks
+that it is a finite unit vector; the states qbaker computes adopt theirs.
 """
 
 from __future__ import annotations
@@ -44,26 +44,32 @@ UNITARY_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Immutable pure state of N qubits; amps[j] indexed by j = x_1...x_N."""
+    """Immutable pure state of N qubits; amps[j] indexed by j = x_1...x_N.
+    The one checked way in: it copies amps, then requires a qubit count, the
+    length 2^N, finite amplitudes and a norm within NORM_TOL of 1."""
 
     N: int
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        self._freeze(np.array(self.amps, dtype=np.complex128, copy=True))
+        self._freeze(self.N, np.array(self.amps, dtype=np.complex128, copy=True))
+        if not np.isfinite(self.amps).all():
+            raise ValueError("state has non-finite amplitudes")
+        drift = abs(self.norm() - 1.0)
+        if drift > NORM_TOL:
+            raise ValueError(f"state is not normalized: |norm - 1| = {drift:.3e}")
 
     @classmethod
     def _adopt(cls, N: int, amps: np.ndarray) -> "StateVector":
-        """Wrap an array the caller has just computed and nothing else will
-        write to: the constructor's checks and read-only flag, without its
-        copy."""
+        """Wrap a unit vector qbaker has just computed, which nothing else will
+        write to: the qubit-count and length checks and the read-only flag, but
+        neither the copy nor the value checks."""
         state = object.__new__(cls)
-        object.__setattr__(state, "N", N)
-        state._freeze(np.asarray(amps, dtype=np.complex128))
+        state._freeze(N, np.asarray(amps, dtype=np.complex128))
         return state
 
-    def _freeze(self, arr: np.ndarray) -> None:
-        object.__setattr__(self, "N", _integer(self.N))
+    def _freeze(self, N: int, arr: np.ndarray) -> None:
+        object.__setattr__(self, "N", _integer(N))
         arr = arr.ravel()
         if arr.size != (1 << self.N):
             raise ValueError(
@@ -77,17 +83,11 @@ class StateVector:
 
 
 def statevector(amps: np.ndarray) -> StateVector:
-    """Validating constructor: length 2^N, finite amplitudes, and unit norm
-    within NORM_TOL."""
+    """`StateVector(N, amps)` with N read off the length 2^N."""
     arr = np.asarray(amps, dtype=np.complex128).ravel()
     N = int(arr.size).bit_length() - 1
     if arr.size < 2 or arr.size != (1 << N):
         raise ValueError(f"amplitude vector length {arr.size} is not a power of two >= 2")
-    if not np.isfinite(arr).all():
-        raise ValueError("state has non-finite amplitudes")
-    norm = np.linalg.norm(arr)
-    if abs(norm - 1.0) > NORM_TOL:
-        raise ValueError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
     return StateVector(N=N, amps=arr)
 
 

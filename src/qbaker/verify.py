@@ -26,6 +26,7 @@ from .analysis import (
 from .bakermap import (
     DENSE_CAP_N,
     FAST_CAP_N,
+    _check_map_index,
     apply_baker_fast,
     apply_circuit,
     baker_composed,
@@ -54,9 +55,11 @@ DEFAULT_SEED = 20990
 
 
 def _check_seed(seed):
-    """seed itself if numpy can seed a generator from it; otherwise a
-    ValueError that quotes it."""
+    """seed itself if it is not a bool and numpy can seed a generator from it
+    (an integer or a sequence of them); otherwise a ValueError that quotes it."""
     try:
+        if isinstance(seed, bool):
+            raise TypeError
         np.random.SeedSequence(seed)
     except (TypeError, ValueError):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}") from None
@@ -131,18 +134,20 @@ def best_time(fn, reps: int = 5) -> float:
 
 
 def time_fast_vs_dense(
-    state: StateVector, n: int, reps: int = 5
+    N: int, n: int, rng: np.random.Generator, reps: int = 5
 ) -> tuple[float, float | None, float | None]:
-    """(fast_s, dense_s, max_abs_err) for the n-th map on `state`: the best of
-    `reps` timed fast applies after one warm-up call, then, up to the dense
-    cap, the best of `reps` dense matvecs and the largest entrywise difference
-    of the two images.  Above the cap the last two are None."""
-    reps = _integer(reps, noun="reps")  # before the warm-up call
+    """(fast_s, dense_s, max_abs_err) for the n-th map on a random N-qubit state
+    drawn from rng once (N, n) and reps pass: the best of `reps` fast applies
+    after one warm-up call, then, up to the dense cap, the best of `reps` dense
+    matvecs and the images' largest entrywise difference (else None, None)."""
+    N, n = _check_map_index(N, n)
+    reps = _integer(reps, noun="reps")
+    state = random_state(N, rng)  # drawn only once the arguments pass
     image = apply_baker_fast(state, n).amps  # the warm-up call, kept for err
     fast_t = best_time(lambda: apply_baker_fast(state, n), reps)
-    if state.N > DENSE_CAP_N:
+    if N > DENSE_CAP_N:
         return fast_t, None, None
-    dense = baker_composed(state.N, n)
+    dense = baker_composed(N, n)
     dense_t = best_time(lambda: dense @ state.amps, reps)
     return fast_t, dense_t, float(np.abs(image - dense @ state.amps).max())
 
@@ -346,7 +351,7 @@ def check_fast_path(cap: int, seed: int) -> list[CheckResult]:
     out = [_max_result("11a fast apply vs dense matvec", worst, 1e-10)]
 
     if cap >= 12:
-        fast_t, dense_t, err = time_fast_vs_dense(random_state(12, rng), 1)
+        fast_t, dense_t, err = time_fast_vs_dense(12, 1, rng)
         timing = f"dense {dense_t * 1e3:.2f} ms, fast {fast_t * 1e3:.2f} ms"
         out.append(_min_result("11b speedup at N=12", dense_t / fast_t, 10.0, timing))
         out.append(_max_result("11d dense vs fast at N=12", err, 1e-10))

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -276,8 +277,7 @@ def test_over_cap_inputs_exit_2_before_building(monkeypatch, capsys, argv):
         raise AssertionError("a state or circuit was built or timed before the size cap")
 
     for name in ("dot_state_transform", "dot_state_product", "check_strict_localization",
-                 "random_product_state", "random_state", "time_fast_vs_dense",
-                 "emit_circuit"):
+                 "random_product_state", "time_fast_vs_dense", "emit_circuit"):
         monkeypatch.setattr(cli, name, refuse)
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -375,6 +375,19 @@ def test_bench_correctness_column(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--N", "4", "--n", "0"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", [["--reps", "0"], ["--n", "0"]])
+def test_bench_rejects_arguments_before_drawing_a_state(flag):
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--N", "20", *flag])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert exc.value.code == 2
+    assert peak < 1 << 20  # an N=20 state is 16 MiB
 
 
 def test_console_entry_point_runs():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -34,14 +35,36 @@ def dense_kernel(M):
 # --- state plumbing ----------------------------------------------------------
 
 
-def test_statevector_checks_norm_and_length():
+def _both_doors_reject(amps, message):
+    """`statevector` and `StateVector` both reject amps, whose length is 2^N,
+    with `message`; a wrong length and a bad qubit count are still named first."""
+    N = len(amps).bit_length() - 1
+    for build in (lambda: statevector(amps), lambda: StateVector(N=N, amps=amps)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+    with pytest.raises(ValueError, match=f"^amplitude vector of length {len(amps)} does not"):
+        StateVector(N=N + 1, amps=amps)
+    for bad in (True, 1.0):
+        with pytest.raises(ValueError, match="^qubit count"):
+            StateVector(N=bad, amps=amps)
+
+
+@pytest.mark.parametrize(
+    "amps,message",
+    [
+        ([1.0, 1.0], "state is not normalized: |norm - 1| = 4.142e-01"),
+        ([3.0, 4.0], "state is not normalized: |norm - 1| = 4.000e+00"),
+        (np.zeros(8), "state is not normalized: |norm - 1| = 1.000e+00"),
+    ],
+    ids=["1-1", "3-4", "zeros"],
+)
+def test_statevector_checks_norm_and_length(amps, message):
     statevector(np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        statevector(np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^amplitude vector length 3 is not a power of two"):
         statevector(np.ones(3) / np.sqrt(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^amplitude vector of length 8 does not match N=2$"):
         StateVector(N=2, amps=np.zeros(8))
+    _both_doors_reject(amps, message)
 
 
 def test_statevector_qubit_count_is_a_plain_int():
@@ -51,9 +74,13 @@ def test_statevector_qubit_count_is_a_plain_int():
             StateVector(N=bad, amps=[1, 0])
 
 
-def test_statevector_rejects_non_finite():
-    with pytest.raises(ValueError):
-        statevector(np.array([np.nan, 0.0]))
+@pytest.mark.parametrize(
+    "amps",
+    [[np.nan, 0.0], [np.nan, 5.0, 0.0, 0.0], [np.inf, 0.0], [1.0, -np.inf]],
+    ids=["nan-0", "nan-5-0-0", "inf-0", "1-minus-inf"],
+)
+def test_statevector_rejects_non_finite(amps):
+    _both_doors_reject(amps, "state has non-finite amplitudes")
 
 
 def test_statevector_amps_are_frozen():
