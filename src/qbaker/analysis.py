@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,25 +78,52 @@ def schmidt_entropy(state: StateVector, cut: int) -> float:
     """Entanglement entropy in bits across the contiguous cut between slots
     `cut` and `cut`+1.
 
-    The Schmidt probabilities are the eigenvalues (`eigvalsh`) of the Gram
-    matrix M M^dag of the amplitude matrix M, taken on the smaller side of
-    the cut, so the Gram matrix is 2^min(cut, N - cut) square.  Squaring
-    first sets a rounding floor: a product state reads about 1e-13, not 0,
-    while the singular values read about 1e-15.  A basis state still reads
-    exactly 0.
+    Every cut reads from one reduced density matrix per half of the string:
+    rho_L on slots 1..h and rho_R on slots h+2..N, h = N // 2 (no rho_R at
+    N = 2).  A cut at or left of h traces rho_L down to slots 1..cut; a cut
+    right of it traces rho_R down to slots cut+1..N.  So the partial trace
+    is taken on the smaller side of the cut, and the Schmidt probabilities
+    are its eigenvalues (`eigvalsh`).  Both matrices are built on the first
+    cut asked of a state and live exactly as long as the state.  They hold
+    the amplitudes squared, which sets a rounding floor: a product state
+    reads about 1e-13, not 0, while the singular values read about 1e-15.
+    A basis state still reads exactly 0.
     """
     cut = _integer(cut, 1, state.N - 1, "cut")
-    matrix = state.amps.reshape(1 << cut, -1)
-    if 2 * cut > state.N:
-        matrix = matrix.T
-    probs = np.linalg.eigvalsh(matrix @ matrix.conj().T)
+    half = state.N // 2
+    rho_left, rho_right = _half_string_densities(state)
+    if cut <= half:
+        k, t = 1 << cut, 1 << (half - cut)
+        rho = np.einsum("aibi->ab", rho_left.reshape(k, t, k, t))
+    else:
+        k, t = 1 << (state.N - cut), 1 << (cut - half - 1)
+        rho = np.einsum("iaib->ab", rho_right.reshape(t, k, t, k))
+    probs = np.linalg.eigvalsh(rho)
     probs = probs[probs > 0]
     return float(-np.sum(probs * np.log2(probs)))
 
 
+# StateVector is frozen, read-only and hashed by identity, so an entry cannot
+# go stale, and it is dropped together with its state.
+_DENSITIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _half_string_densities(state: StateVector) -> tuple[np.ndarray, np.ndarray | None]:
+    """(rho_L, rho_R) of `schmidt_entropy`, built once per state."""
+    pair = _DENSITIES.get(state)
+    if pair is None:
+        half = state.N // 2
+        right_qubits = state.N - half - 1
+        left = state.amps.reshape(1 << half, -1)
+        right = state.amps.reshape(-1, 1 << right_qubits)
+        rho_right = right.T @ right.conj() if right_qubits else None
+        pair = _DENSITIES[state] = (left @ left.conj().T, rho_right)
+    return pair
+
+
 def max_contiguous_cut_entropy(state: StateVector) -> float:
-    """Largest Schmidt entropy over all contiguous cuts; zero iff the state
-    is a product across every cut."""
+    """Largest Schmidt entropy over all contiguous cuts; at the rounding floor
+    of `schmidt_entropy` iff the state is a product across every cut."""
     if state.N < 2:
         raise ValueError("need at least two qubits to cut")
     return max(schmidt_entropy(state, cut) for cut in range(1, state.N))

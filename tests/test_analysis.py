@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -98,6 +101,39 @@ def test_schmidt_entropy_every_cut_at_n16():
             assert abs(schmidt_entropy(state, cut) - entropy_oracle(state, cut)) < 1e-12
         assert schmidt_entropy(product, cut) < 1e-10
         assert schmidt_entropy(basis_state(16, 12345), cut) == 0.0
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 17])
+def test_schmidt_entropy_every_cut_small_and_odd_n(N):
+    # N=2 has no right-half matrix; odd N splits the string unequally
+    rng = np.random.default_rng(64 + N)
+    entangled = random_state(N, rng)
+    image = apply_baker_fast(random_product_state(N, rng), N // 2)
+    product = random_product_state(N, rng)
+    basis = basis_state(N, (1 << N) - 3)
+    for cut in range(1, N):
+        for state in (entangled, image):
+            assert abs(schmidt_entropy(state, cut) - entropy_oracle(state, cut)) < 1e-12
+        assert schmidt_entropy(product, cut) < 1e-10
+        assert schmidt_entropy(basis, cut) == 0.0
+
+
+def test_schmidt_entropy_keeps_no_state_alive():
+    state = random_state(10, np.random.default_rng(65))
+    ref = weakref.ref(state)
+    schmidt_entropy(state, 3)
+    del state
+    gc.collect()
+    assert ref() is None
+
+
+def test_schmidt_entropy_does_not_depend_on_cut_order():
+    N = 11
+    state = apply_baker_fast(random_product_state(N, np.random.default_rng(66)), 4)
+    backward = [schmidt_entropy(state, cut) for cut in range(N - 1, 0, -1)]
+    fresh = StateVector(N, state.amps)
+    forward = [schmidt_entropy(fresh, cut) for cut in range(1, N)]
+    assert backward[::-1] == forward
 
 
 def test_schmidt_entropy_invariant_under_local_rotations():
