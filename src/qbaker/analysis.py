@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +73,11 @@ def check_strict_localization(label: DotLabel) -> LocalizationReport:
     )
 
 
-def schmidt_entropy(state: StateVector, cut: int) -> float:
+def schmidt_entropy(
+    state: StateVector,
+    cut: int,
+    halves: tuple[np.ndarray, np.ndarray | None] | None = None,
+) -> float:
     """Entanglement entropy in bits across the contiguous cut between slots
     `cut` and `cut`+1.
 
@@ -83,19 +86,20 @@ def schmidt_entropy(state: StateVector, cut: int) -> float:
     N = 2).  A cut at or left of h traces rho_L down to slots 1..cut; a cut
     right of it traces rho_R down to slots cut+1..N.  So the partial trace
     is taken on the smaller side of the cut, and the Schmidt probabilities
-    are its eigenvalues (`eigvalsh`).  Both matrices are built on the first
-    cut asked of a state and live exactly as long as the state.  They hold
-    the amplitudes squared, which sets a rounding floor: a product state
-    reads about 1e-13, not 0, while the singular values read about 1e-15.
-    A basis state still reads exactly 0.
+    are its eigenvalues (`eigvalsh`).  `halves` is the pair (rho_L, rho_R),
+    rho_R None at N = 2, which `max_contiguous_cut_entropy` builds once for
+    all cuts; without it only the matrix on the cut's side is built.  The matrices hold the amplitudes squared, which sets a
+    rounding floor: a product state reads about 1e-13, not 0, while the
+    singular values read about 1e-15.  A basis state still reads exactly 0.
     """
     cut = _integer(cut, 1, state.N - 1, "cut")
     half = state.N // 2
-    rho_left, rho_right = _half_string_densities(state)
     if cut <= half:
+        rho_left = halves[0] if halves else _left_density(state)
         k, t = 1 << cut, 1 << (half - cut)
         rho = np.einsum("aibi->ab", rho_left.reshape(k, t, k, t))
     else:
+        rho_right = halves[1] if halves else _right_density(state)
         k, t = 1 << (state.N - cut), 1 << (cut - half - 1)
         rho = np.einsum("iaib->ab", rho_right.reshape(t, k, t, k))
     probs = np.linalg.eigvalsh(rho)
@@ -103,30 +107,28 @@ def schmidt_entropy(state: StateVector, cut: int) -> float:
     return float(-np.sum(probs * np.log2(probs)))
 
 
-# StateVector is frozen, read-only and hashed by identity, so an entry cannot
-# go stale, and it is dropped together with its state.
-_DENSITIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+def _left_density(state: StateVector) -> np.ndarray:
+    """rho_L = M M^dag, M = amps.reshape(2^h, -1): slots 1..h, h = N // 2."""
+    left = state.amps.reshape(1 << (state.N // 2), -1)
+    return left @ left.conj().T
 
 
-def _half_string_densities(state: StateVector) -> tuple[np.ndarray, np.ndarray | None]:
-    """(rho_L, rho_R) of `schmidt_entropy`, built once per state."""
-    pair = _DENSITIES.get(state)
-    if pair is None:
-        half = state.N // 2
-        right_qubits = state.N - half - 1
-        left = state.amps.reshape(1 << half, -1)
-        right = state.amps.reshape(-1, 1 << right_qubits)
-        rho_right = right.T @ right.conj() if right_qubits else None
-        pair = _DENSITIES[state] = (left @ left.conj().T, rho_right)
-    return pair
+def _right_density(state: StateVector) -> np.ndarray:
+    """rho_R = M^T conj(M), M = amps.reshape(-1, 2^r): slots h+2..N,
+    r = N - h - 1 >= 1."""
+    right = state.amps.reshape(-1, 1 << (state.N - state.N // 2 - 1))
+    return right.T @ right.conj()
 
 
 def max_contiguous_cut_entropy(state: StateVector) -> float:
-    """Largest Schmidt entropy over all contiguous cuts; at the rounding floor
-    of `schmidt_entropy` iff the state is a product across every cut."""
+    """Largest Schmidt entropy over all contiguous cuts, each cut read from
+    one pair of half-string matrices built for this call and dropped with
+    it; at the rounding floor of `schmidt_entropy` iff the state is a
+    product across every cut."""
     if state.N < 2:
         raise ValueError("need at least two qubits to cut")
-    return max(schmidt_entropy(state, cut) for cut in range(1, state.N))
+    halves = (_left_density(state), _right_density(state) if state.N > 2 else None)
+    return max(schmidt_entropy(state, cut, halves) for cut in range(1, state.N))
 
 
 def eigenphases(u: np.ndarray, tol: float = 1e-10) -> SpectrumReport:

@@ -1,9 +1,11 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+from qbaker import analysis
 from qbaker.analysis import (
     check_strict_localization,
     correspondence_trajectory,
@@ -161,6 +163,53 @@ def test_max_cut_entropy_examples():
     assert max_contiguous_cut_entropy(image) < 1e-10
     with pytest.raises(ValueError):
         max_contiguous_cut_entropy(basis_state(1, 0))
+
+
+def _count_gram_products(monkeypatch):
+    """Count the half-string matrices built, per side."""
+    built = {"left": 0, "right": 0}
+    for side in built:
+        name = f"_{side}_density"
+        build = getattr(analysis, name)
+
+        def counted(state, side=side, build=build):
+            built[side] += 1
+            return build(state)
+
+        monkeypatch.setattr(analysis, name, counted)
+    return built
+
+
+@pytest.mark.parametrize("N", [2, 3, 16])
+def test_max_cut_entropy_builds_each_half_once(monkeypatch, N):
+    state = apply_baker_fast(random_product_state(N, np.random.default_rng(76)), N // 2)
+    per_cut = max(schmidt_entropy(state, cut) for cut in range(1, N))
+    built = _count_gram_products(monkeypatch)
+    assert max_contiguous_cut_entropy(state) == per_cut
+    assert built == {"left": 1, "right": int(N > 2)}
+
+
+def test_schmidt_entropy_builds_only_the_side_of_its_cut(monkeypatch):
+    state = random_state(7, np.random.default_rng(77))
+    built = _count_gram_products(monkeypatch)
+    schmidt_entropy(state, 3)
+    assert built == {"left": 1, "right": 0}
+    schmidt_entropy(state, 4)
+    assert built == {"left": 1, "right": 1}
+
+
+def test_max_cut_entropy_keeps_no_matrices():
+    # the two half-string matrices of an N=16 state take 1.25 MiB; none of it
+    # may outlive the call, or iterate would hold it through the next step
+    state = random_state(16, np.random.default_rng(78))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        max_contiguous_cut_entropy(state)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 64 << 10
 
 
 def test_b1_entangles_some_input():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from qbaker import qfourier
 from qbaker.analysis import max_contiguous_cut_entropy
 from qbaker.bakermap import (
     Gate,
     GateList,
+    _slot_one_mix,
     apply_baker_fast,
     apply_circuit,
     baker_composed,
@@ -23,6 +25,7 @@ from qbaker.qfourier import (
     basis_state,
     dot_state_product,
     dot_state_transform,
+    partial_transform,
     random_product_state,
     random_state,
 )
@@ -108,6 +111,41 @@ def test_apply_fast_last_map_matches_three_stages_at_n16():
     rotated = StateVector(N=N, amps=mid.reshape(2, D // 2).T.ravel())
     want = apply_partial_transform(rotated, N - 1, "forward").amps
     assert np.abs(apply_baker_fast(state, N).amps - want).max() < 1e-12
+
+
+def slot_one_mix_matrix(N, n):
+    """Dense C_n = Phi_n (V (x) I), written out from its definition: V on
+    slot 1, then the phase e^{i pi (p - 1/2)(a + 1/2)/M} with p the slot-1 bit
+    and a the integer on slots n+1..N, M = 2^(N-n)."""
+    D, M = 1 << N, 1 << (N - n)
+    v = np.array([[1, 1j], [1, -1j]]) / np.sqrt(2)
+    p = np.arange(D) >> (N - 1)
+    a = np.arange(D) % M
+    return np.exp(1j * np.pi * (p - 0.5) * (a + 0.5) / M)[:, None] * np.kron(v, np.eye(D // 2))
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_step_factorization_matches_composed_map(N):
+    # B_n = Cyc_N G_n C_n G_n^dag, the form apply_baker_fast runs for n < N
+    rng = np.random.default_rng([71, N])
+    for n in range(1, N):
+        g, c = partial_transform(N, n), slot_one_mix_matrix(N, n)
+        assert np.abs(c.conj().T @ c - np.eye(1 << N)).max() < 1e-14
+        got = cyclic_shift_operator(N, N) @ g @ c @ g.conj().T
+        assert np.abs(got - baker_composed(N, n)).max() < 1e-13
+        state = random_state(N, rng)
+        assert np.abs(_slot_one_mix(state, n).amps - c @ state.amps).max() < 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 9, 17])
+def test_apply_fast_does_not_depend_on_cpu_count(monkeypatch, n):
+    # N=18 is past the size at which the transforms split their rows
+    state = random_state(18, np.random.default_rng([72, n]))
+    images = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(qfourier, "_usable_cpus", lambda: cpus)
+        images.append(apply_baker_fast(state, n).amps)
+    assert np.array_equal(images[0], images[1])
 
 
 def test_apply_fast_moves_dot_states():

@@ -1,9 +1,11 @@
+import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from qbaker import qfourier
 from qbaker.bakermap import apply_baker_fast
 from qbaker.lattice import DotLabel, iter_labels
 from qbaker.qfourier import (
@@ -225,6 +227,76 @@ def test_fast_applies_return_fresh_frozen_states(n):
         assert not out.amps.flags.writeable
         assert not np.shares_memory(out.amps, state.amps)
     assert np.array_equal(state.amps, before)
+
+
+def _counting_pool(monkeypatch):
+    """Record the worker count of every pool the transforms ask for."""
+    asked = []
+    pool = qfourier._pool
+
+    def counted(workers):
+        asked.append(workers)
+        return pool(workers)
+
+    monkeypatch.setattr(qfourier, "_pool", counted)
+    return asked
+
+
+@pytest.mark.parametrize("n", [1, 9, 17])
+def test_apply_does_not_depend_on_cpu_count(monkeypatch, n):
+    N = 18
+    assert 1 << N >= qfourier.THREADED_MIN_AMPS  # the rows are split
+    state = random_state(N, np.random.default_rng([73, n]))
+    asked = _counting_pool(monkeypatch)
+    # 4 workers may outnumber the CPUs; a state never gets more blocks than rows
+    for direction in ("forward", "inverse"):
+        images = []
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(qfourier, "_usable_cpus", lambda: cpus)
+            images.append(apply_partial_transform(state, n, direction).amps)
+        assert np.array_equal(images[0], images[1])
+        assert np.array_equal(images[0], images[2])
+    assert asked == [2, min(4, 1 << n)] * 2
+
+
+def test_small_states_stay_on_the_calling_thread(monkeypatch):
+    N = 16
+    assert 1 << N < qfourier.THREADED_MIN_AMPS
+    monkeypatch.setattr(qfourier, "_usable_cpus", lambda: 2)
+    asked = _counting_pool(monkeypatch)
+    state = random_state(N, np.random.default_rng(74))
+    for n in (0, 1, 8, 15, 16):
+        apply_partial_transform(state, n)
+        apply_partial_transform(state, n, "inverse")
+        if n:
+            apply_baker_fast(state, n)
+    assert asked == []
+
+
+def _exact_norm(amps):
+    """Square root of the squares' exact sum (math.fsum); only the squaring
+    and the root round."""
+    flat = np.asarray(amps, dtype=np.complex128).view(np.float64)
+    return math.sqrt(math.fsum(flat * flat))
+
+
+@pytest.mark.parametrize("N", [1, 10, 20])
+def test_norm_agrees_with_exact_sum_and_linalg(N):
+    state = random_state(N, np.random.default_rng([75, N]))
+    assert abs(state.norm() - _exact_norm(state.amps)) <= 1e-15
+    # np.linalg.norm sums in the order of its BLAS build and thread count: at
+    # N=20 it missed the exact value by up to 3.8e-15 on two threads and by
+    # 5.6e-15 on one, so the two norms are held to 1e-14 of each other
+    assert abs(state.norm() - np.linalg.norm(state.amps)) <= 1e-14
+    unnormalized = StateVector._adopt(N, 3 * state.amps)
+    assert abs(unnormalized.norm() - _exact_norm(unnormalized.amps)) <= 4e-15
+
+
+def test_norm_of_non_finite_amplitudes():
+    nan = StateVector._adopt(2, np.array([np.nan, 1, 0, 0], dtype=np.complex128))
+    assert np.isnan(nan.norm())
+    inf = StateVector._adopt(2, np.array([np.inf, 1, 0, 0], dtype=np.complex128))
+    assert inf.norm() == np.inf
 
 
 def test_random_state_is_the_normalized_seeded_draw():
