@@ -62,8 +62,7 @@ def check_strict_localization(label: DotLabel) -> LocalizationReport:
     flat = 2.0 ** (-(N - n) / 2.0)
     dev = float(np.abs(np.abs(state.amps[support]) - flat).max()) if support.size else 0.0
     momentum = apply_partial_transform(state, 0, "inverse").amps
-    a_int = bits_to_index(label.abits) if label.abits else 0
-    lo = a_int << n
+    lo = bits_to_index(label.abits) << n
     mass = float(np.sum(np.abs(momentum[lo : lo + (1 << n)]) ** 2))
     return LocalizationReport(
         label=label,

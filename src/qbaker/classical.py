@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import Bits, DotLabel, _as_bits, _dotted_text, _parse_dotted
+from .lattice import Bits, DotLabel, _as_bits, _dotted_text, _parse_dotted, bits_to_index
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,8 @@ class SymbolString:
 def decode(s: SymbolString) -> tuple[Fraction, Fraction]:
     """Exact phase-space point (q, p) of a window: q = sum s_k/2^k over the
     right side, p = sum s_{-k}/2^(k+1) over the left side."""
-    q = Fraction(0)
-    for k, b in enumerate(s.right, start=1):
-        q += Fraction(b, 1 << k)
-    p = Fraction(0)
-    for k, b in enumerate(s.left):
-        p += Fraction(b, 1 << (k + 1))
-    return q, p
+    q = Fraction(bits_to_index(s.right), 1 << len(s.right))
+    return q, Fraction(bits_to_index(s.left), 1 << len(s.left))
 
 
 def shift(s: SymbolString) -> SymbolString:

@@ -46,7 +46,7 @@ from .qfourier import (
     random_product_state,
     statevector,
 )
-from .verify import DEFAULT_SEED, _check_seed, run_all, time_fast_vs_dense
+from .verify import DEFAULT_SEED, _check_seed, _json_number, run_all, time_fast_vs_dense
 
 
 def _fmt(x: float) -> str:
@@ -238,11 +238,12 @@ def cmd_verify(args, parser) -> int:
         payload = {
             "seed": args.seed,
             "max_N": args.max_N,
-            "perturb": args.perturb,
+            "perturb": _json_number(args.perturb),
             "all_passed": not failed,
             "checks": [r.to_dict() for r in results],
         }
-        Path(args.report).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        Path(args.report).write_text(text, encoding="utf-8")
     skipped = sum(r.skipped for r in results)
     summary = f"{len(results) - len(failed) - skipped}/{len(results) - skipped} checks passed"
     if skipped:

@@ -166,10 +166,7 @@ class PhasePoint:
 
 def _binary_fraction(bits: Bits) -> Fraction:
     """0.b_1 b_2 ... b_m with a trailing guard 1, i.e. sum b_i/2^i + 1/2^(m+1)."""
-    value = Fraction(0)
-    for i, b in enumerate(bits, start=1):
-        value += Fraction(b, 1 << i)
-    return value + Fraction(1, 1 << (len(bits) + 1))
+    return Fraction(2 * bits_to_index(bits) + 1, 2 << len(bits))
 
 
 def label_cell(label: DotLabel) -> PhasePoint:

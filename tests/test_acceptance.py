@@ -7,9 +7,10 @@ the same lines come out of `qbaker verify`).
 
 import pytest
 
-from qbaker import verify
+from qbaker import analysis, verify
 from qbaker.bakermap import FAST_CAP_N
-from qbaker.verify import DEFAULT_SEED, criteria, run_all
+from qbaker.qfourier import StateVector
+from qbaker.verify import DEFAULT_SEED, check_localization, criteria, run_all
 
 
 # no restriction: every sub-check runs at its stated size
@@ -32,3 +33,23 @@ def test_run_all_rejects_bad_arguments_before_any_check(monkeypatch, max_n, seed
     monkeypatch.setattr(verify, "check_unitarity", unreachable)
     with pytest.raises(ValueError):
         run_all(max_n=max_n, seed=seed)
+
+
+def test_support_row_fails_on_one_tiny_off_window_amplitude(monkeypatch):
+    # any amplitude above 1e-15 off the label's window fails the support row,
+    # and its observed value and margin say so as well as its verdict
+    real = analysis.dot_state_transform
+
+    def leaky(label):
+        state = real(label)
+        if label.text() != "1.0":  # window {0, 1} of N=2
+            return state
+        amps = state.amps.copy()
+        amps[3] = 1e-14
+        return StateVector._adopt(2, amps)
+
+    monkeypatch.setattr(analysis, "dot_state_transform", leaky)
+    rows = {r.name: r for r in check_localization(2)}
+    support = rows["9a exact position support"]
+    assert (support.passed, support.observed, support.margin) == (False, 1.0, -1.0)
+    assert support.details == "first mismatch at 1.0"

@@ -113,6 +113,30 @@ def test_apply_fast_last_map_matches_three_stages_at_n16():
     assert np.abs(apply_baker_fast(state, N).amps - want).max() < 1e-12
 
 
+def u_on_every_slot(state):
+    # u^{(x) N} as N single-qubit gates, with no partial transform
+    u = last_qubit_unitary()
+    gates = tuple(Gate.single_qubit(slot, u) for slot in range(1, state.N + 1))
+    return apply_circuit(state.amps, GateList(N=state.N, gates=gates))
+
+
+@pytest.mark.parametrize("N", [2, 8, 20])
+def test_last_map_to_the_n_is_u_on_every_qubit(N):
+    # B_N^N = u^{(x) N}: each qubit passes slot 1, where u acts, once in N
+    # steps and returns to its own slot; an exact reference past the dense cap
+    state = random_state(N, np.random.default_rng([73, N]))
+    got = iterate(state, N, N).amps
+    assert np.abs(got - u_on_every_slot(state)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("N", [1, 5, 16])
+def test_slot_one_mix_at_n_equal_N_is_u_on_slot_one(N):
+    # C_N, which apply_baker_fast evaluates as the exact u
+    state = random_state(N, np.random.default_rng([74, N]))
+    want = apply_circuit(state.amps, GateList(N, (Gate.single_qubit(1, last_qubit_unitary()),)))
+    assert np.abs(_slot_one_mix(state, N).amps - want).max() <= 1e-15
+
+
 def slot_one_mix_matrix(N, n):
     """Dense C_n = Phi_n (V (x) I), written out from its definition: V on
     slot 1, then the phase e^{i pi (p - 1/2)(a + 1/2)/M} with p the slot-1 bit

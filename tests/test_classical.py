@@ -26,6 +26,17 @@ def test_decode_examples(left, right, expected):
     assert decode(SymbolString(left=left, right=right)) == expected
 
 
+def test_decode_matches_the_defining_sums():
+    # the loop form of the docstring: q = sum s_k/2^k, p = sum s_{-k}/2^(k+1)
+    rng = np.random.default_rng(998)
+    for _ in range(500):
+        left = tuple(int(b) for b in rng.integers(0, 2, rng.integers(0, 70)))
+        right = tuple(int(b) for b in rng.integers(0, 2, rng.integers(0, 70)))
+        q = sum((Fraction(b, 1 << k) for k, b in enumerate(right, 1)), Fraction(0))
+        p = sum((Fraction(b, 2 << k) for k, b in enumerate(left)), Fraction(0))
+        assert decode(SymbolString(left=left, right=right)) == (q, p)
+
+
 def test_shift_examples():
     s = shift(SymbolString(left=(0,), right=(1, 0, 1)))
     assert s == SymbolString(left=(1, 0), right=(0, 1))

@@ -360,6 +360,32 @@ def test_verify_nan_perturbation_fails(capsys):
     assert lines[0].startswith("FAIL 1 unitarity")
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, as JSON.parse does."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "flags,code", [(["--max-N", "3"], 0), (["--max-N", "2", "--perturb", "nan"], 1)]
+)
+def test_verify_report_is_strict_json(tmp_path, capsys, flags, code):
+    report = tmp_path / "report.json"
+    assert main(["verify", *flags, "--report", str(report)]) == code
+    payload = strict_json(report.read_text())
+    skipped = [c for c in payload["checks"] if c["skipped"]]
+    assert skipped  # bench sizes out of reach
+    for c in skipped:
+        assert c["observed"] is c["tolerance"] is c["margin"] is None
+    if code:
+        assert payload["perturb"] is None
+        assert payload["checks"][0]["observed"] is None  # the NaN the fold kept
+    for line in capsys.readouterr().out.splitlines():
+        assert not (line.startswith("SKIP") and "nan" in line), line
+
+
 def test_bench_correctness_column(tmp_path):
     out = tmp_path / "bench.csv"
     assert main(["bench", "--N", "4", "--out", str(out)]) == 0

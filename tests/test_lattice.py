@@ -217,6 +217,19 @@ def test_label_cell_denominators():
                 assert (1 << (N - n + 1)) % cell.p.denominator == 0
 
 
+def test_label_cell_centers_match_the_defining_sums():
+    # the loop form of the docstring: sum b_i/2^i plus the guard 1/2^(m+1)
+    def center(bits):
+        value = sum((Fraction(b, 1 << i) for i, b in enumerate(bits, 1)), Fraction(0))
+        return value + Fraction(1, 2 << len(bits))
+
+    for N in range(1, 7):
+        for n in range(N + 1):
+            for label in iter_labels(N, n):
+                cell = label_cell(label)
+                assert (cell.q, cell.p) == (center(label.xbits), center(label.abits))
+
+
 def test_label_text_roundtrip_exhaustive():
     for N in range(1, 7):
         for n in range(N + 1):
