@@ -19,6 +19,7 @@ class LocalizationReport:
     label: DotLabel
     support: tuple[int, ...]
     uniform_modulus_dev: float
+    off_window_max: float
     window_mass: float
 
 
@@ -51,23 +52,29 @@ def position_support(state: StateVector, tol: float) -> np.ndarray:
 def check_strict_localization(label: DotLabel) -> LocalizationReport:
     """Measure the localization of a dot-basis state.
 
-    Position support is strict (amplitudes outside the window with leading
-    bits x_1..x_n vanish identically) and flat, modulus 2^{-(N-n)/2}; the
-    momentum window with leading bits a_1..a_{N-n} carries only part of the
-    probability, reported as window_mass.
+    Position support is strict: amplitudes outside the window with leading
+    bits x_1..x_n vanish identically (off_window_max is the largest modulus
+    there, support every index above 1e-15).  Inside the window it is flat,
+    modulus 2^{-(N-n)/2}; uniform_modulus_dev is the largest deviation from
+    that over the window, so a stray amplitude outside it shows in the support
+    alone.  The momentum window with leading bits a_1..a_{N-n} carries only
+    part of the probability, reported as window_mass.
     """
     N, n = label.N, label.n
     state = dot_state_transform(label)
-    support = position_support(state, tol=1e-15)
-    flat = 2.0 ** (-(N - n) / 2.0)
-    dev = float(np.abs(np.abs(state.amps[support]) - flat).max()) if support.size else 0.0
+    modulus = np.abs(state.amps)
+    first = bits_to_index(label.xbits) << (N - n)
+    window = slice(first, first + (1 << (N - n)))
+    dev = float(np.abs(modulus[window] - 2.0 ** (-(N - n) / 2.0)).max())
+    off = float(np.delete(modulus, window).max(initial=0.0))
     momentum = apply_partial_transform(state, 0, "inverse").amps
     lo = bits_to_index(label.abits) << n
     mass = float(np.sum(np.abs(momentum[lo : lo + (1 << n)]) ** 2))
     return LocalizationReport(
         label=label,
-        support=tuple(int(j) for j in support),
+        support=tuple(int(j) for j in position_support(state, tol=1e-15)),
         uniform_modulus_dev=dev,
+        off_window_max=off,
         window_mass=mass,
     )
 

@@ -37,8 +37,9 @@ from .lattice import _integer, iter_labels
 from .qfourier import (
     UNITARY_TOL,
     StateVector,
+    _apply_ladder,
     _check_unitary,
-    _phase_ladder,
+    _ladder,
     apply_partial_transform,
     dot_state_transform,
 )
@@ -216,21 +217,22 @@ def _slot_one_mix(state: StateVector, n: int) -> StateVector:
     """C_n = Phi_n * (V (x) I): V = [[1, i], [1, -i]]/sqrt2 turns the slot-1
     bit x_1 into p, then Phi_n multiplies by e^{i pi (p-1/2)(a+1/2)/M}, with a
     the integer on slots n+1..N and M = 2^(N-n).  It leaves slots 2..n alone
-    and is diagonal in slots n+1..N, so it costs a few passes over the state.
-    At n = N it is u = `last_qubit_unitary()` on slot 1, up to rounding."""
+    and is diagonal in slots n+1..N, so it costs a few passes over the state;
+    its phases are `_ladder` factor pairs, so no M-entry phase vector is
+    built.  At n = N it is u = `last_qubit_unitary()` on slot 1, up to
+    rounding."""
     m = state.N - n
     low, high = state.amps.reshape(2, -1, 1 << m)  # x_1 = 0 and x_1 = 1
-    # e^{i pi (a+1/2)/2M}/sqrt2: the ladder e^{i pi a/2M} times a constant.
-    # np.sqrt(0.5) is 1/sqrt2 correctly rounded; 1/np.sqrt(2) is one ulp low,
-    # which alone takes 1.1e-16 of norm per step (at N=10, n=1: -1.9e-12
-    # after 10^4 steps, against -2.8e-13 with np.sqrt(0.5))
-    twist = _phase_ladder(m, 0.5) * (np.exp(1j * np.pi / (4 << m)) * np.sqrt(0.5))
+    # the twists e^{+-i pi (a+1/2)/2M}/sqrt2.  np.sqrt(0.5) is 1/sqrt2
+    # correctly rounded; 1/np.sqrt(2) is one ulp low, which alone takes
+    # 1.1e-16 of norm per step (at N=10, n=1: -1.9e-12 after 10^4 steps,
+    # against -2.8e-13 with np.sqrt(0.5))
     out = np.empty((2,) + low.shape, dtype=np.complex128)
     np.multiply(high, 1j, out=out[1])
     np.add(low, out[1], out=out[0])
     np.subtract(low, out[1], out=out[1])
-    out[1] *= twist
-    out[0] *= np.conjugate(twist, out=twist)
+    _apply_ladder(out[1], _ladder(m, 0.5, 0.5, np.sqrt(0.5)), out[1])
+    _apply_ladder(out[0], _ladder(m, -0.5, 0.5, np.sqrt(0.5)), out[0])
     return StateVector._adopt(state.N, out)
 
 

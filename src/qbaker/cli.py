@@ -206,6 +206,7 @@ def cmd_localize(args, parser) -> int:
         "n": label.n,
         "support": list(report.support),
         "uniform_modulus_dev": report.uniform_modulus_dev,
+        "off_window_max": report.off_window_max,
         "window_mass": report.window_mass,
     }
     _write(json.dumps(payload, indent=2) + "\n", args.out)

@@ -15,13 +15,16 @@ For fast application the kernel is factorized as
 
 where W_M is the ordinary DFT with kernel exp(+2 pi i x a / M)/sqrt(M).  The
 diagonals split into single-qubit phases (x is a sum of bit-weighted powers of
-two), so each is a Kronecker product; the fast apply builds it from two factors,
-one over the high half of the bits and one over the low half, at the cost of
-about 2*sqrt(M) complex exponentials.  W_M is numpy's FFT along the last axis
-(np.fft.ifft with norm="ortho"; np.fft.fft for the inverse), so one apply costs
-O(D*(N-n)).  The 2^n rows of a large state are split into one block per usable
-CPU and transformed on a thread pool (numpy's FFT releases the interpreter
-lock); smaller states stay on the calling thread.
+two), so each is a Kronecker product; the fast apply never builds one in full.
+`_ladder` keeps it as a pair of factors, a fine one over the low (at most 12)
+bits and a coarse one over the rest, and `_apply_ladder` multiplies a state by
+the pair through a broadcast view, so a diagonal of M <= 4096 phases takes one
+pass over the state and a longer one two.  W_M is numpy's FFT along the last
+axis (np.fft.ifft with norm="ortho"; np.fft.fft for the inverse), run in place
+in the output array, so one apply costs O(D*(N-n)) and allocates one state.
+The 2^n rows of a large state are split into one block per usable CPU and
+transformed on a thread pool (numpy's FFT releases the interpreter lock);
+smaller states stay on the calling thread.
 The same factorization, with W_M spelled out as Hadamards, controlled phases
 and swaps, drives the gate-level lowering in `bakermap.emit_circuit`.
 
@@ -185,44 +188,44 @@ def apply_partial_transform(
     Matches dense multiplication by the kron-structured matrix but costs
     O(D*(N-n)): the leading n qubits index 2^n independent rows, and the
     antiperiodic kernel runs per row as phase ladder, numpy FFT of length
-    2^(N-n), phase ladder times global phase.  The ladder is the two-factor
-    product of `_phase_ladder`, built once per call.  For n = N the rows have
-    length one and the FFT is skipped.
+    2^(N-n), phase ladder times global phase.  Both ladders are factor pairs
+    of `_ladder`, the second with the global phase folded in.  Every step
+    writes into the one output array: the first ladder multiplies the rows
+    into it, and the FFT and the second ladder then work in place.  For n = N
+    the rows have length one and the FFT is skipped.
 
     A state of at least THREADED_MIN_AMPS amplitudes has its rows split into
     contiguous blocks, one per usable CPU (the process's affinity mask, else
-    `os.cpu_count()`), which run on a thread pool created at first use.  Each
-    row is computed the same way whichever block holds it, so the amplitudes
-    do not depend on the CPU count.  The result owns fresh, read-only
-    amplitudes.
+    `os.cpu_count()`), which run on a thread pool created at first use, each
+    in its own rows of the output.  Each row is computed the same way whichever
+    block holds it, so the amplitudes do not depend on the CPU count.  The
+    result owns fresh, read-only amplitudes.
     """
     _, n = _check_transform_index(state.N, n)
     if direction not in ("forward", "inverse"):
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     m = state.N - n
     sign = 1 if direction == "forward" else -1
-    before = _phase_ladder(m, sign)
-    after = before * np.exp(sign * 1j * np.pi / (2 << m))
+    before, after = _ladder(m, sign), _ladder(m, sign, offset=0.5)
     # W_M has kernel exp(+2 pi i x a / M)/sqrt(M), which is numpy's ifft
     dft = np.fft.ifft if direction == "forward" else np.fft.fft
     rows = state.amps.reshape(-1, 1 << m)
+    out = np.empty_like(rows)
 
-    def transform(block: slice, into: np.ndarray | None = None) -> np.ndarray:
-        # a split block writes its first ladder into its part of the shared
-        # output, so it allocates only what the FFT returns; the one block of
-        # an unsplit call works in the arrays it allocates
-        work = np.multiply(rows[block], before, out=into)
+    def transform(block: slice) -> None:
+        work = out[block]
+        _apply_ladder(rows[block], before, work)
         if m > 0:
-            work = dft(work, axis=-1, norm="ortho")
-        return np.multiply(work, after, out=work if into is None else into)
+            dft(work, axis=-1, norm="ortho", out=work)
+        _apply_ladder(work, after, work)
 
     blocks = _row_blocks(rows.shape[0], rows.size)
     if len(blocks) == 1:
-        return StateVector._adopt(state.N, transform(blocks[0]))
-    out = np.empty_like(rows)
-    pool = _pool(len(blocks))
-    for done in [pool.submit(transform, block, out[block]) for block in blocks]:
-        done.result()
+        transform(blocks[0])
+    else:
+        pool = _pool(len(blocks))
+        for done in [pool.submit(transform, block) for block in blocks]:
+            done.result()
     return StateVector._adopt(state.N, out)
 
 
@@ -248,20 +251,58 @@ def _pool(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(workers, thread_name_prefix="qbaker-transform")
 
 
-def _phase_ladder(m: int, turn: float) -> np.ndarray:
-    """The diagonal e^{turn i pi k/M}, k < M = 2^m, as a Kronecker product;
-    the transforms use turn = +-1.
+# A phase ladder's fine factor spans at most 2^12 contiguous phases, so a
+# ladder of up to 4096 phases is one factor, applied in one pass.
+_FINE_BITS = 12
 
-    Writing k = c*F + f with F = 2^(m//2) splits each phase into a coarse
-    factor e^{turn i pi c/C} (C = M/F) and a fine one e^{turn i pi f/M}, so
-    only C + F ~ 2 sqrt(M) complex exponentials are evaluated.
+
+@functools.cache
+def _ladder(
+    m: int, turn: float, offset: float = 0.0, scale: float = 1.0
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """The diagonal scale * e^{turn i pi (k + offset)/M}, k < M = 2^m, as a
+    Kronecker pair (coarse, fine) of read-only arrays; the transforms use
+    turn = +-1.
+
+    Writing k = c*F + f with F = 2^min(m, 12) splits each phase into a coarse
+    factor scale * e^{turn i pi (c*F + offset)/M}, one per c < C = M/F, and a
+    fine one e^{turn i pi f/M}.  The scale and offset ride on the coarse
+    factor, which is the smaller one up to m = 24.  At C = 1 they fold into
+    the fine factor, and coarse is None.  A pair is built once per argument
+    tuple (a few kinds per m, at most 2^12 + C phases each) and then reused,
+    since at N = 12 building the two ladders took as long as the FFT.
+    `_apply_ladder` multiplies a state by the pair.
     """
-    fine = 1 << (m // 2)
-    coarse = 1 << (m - m // 2)
-    return np.multiply.outer(
-        np.exp(turn * 1j * np.pi * np.arange(coarse) / coarse),
-        np.exp(turn * 1j * np.pi * np.arange(fine) / (coarse * fine)),
-    ).ravel()
+    M, F = 1 << m, 1 << min(m, _FINE_BITS)
+
+    def phases(k: np.ndarray) -> np.ndarray:
+        return np.exp(turn * 1j * np.pi * k / M)
+
+    if M == F:
+        coarse, fine = None, scale * phases(np.arange(M) + offset)
+    else:
+        coarse = scale * phases(np.arange(0, M, F) + offset)[:, None]
+        coarse.setflags(write=False)
+        fine = phases(np.arange(F))
+    fine.setflags(write=False)
+    return coarse, fine
+
+
+def _apply_ladder(
+    src: np.ndarray, ladder: tuple[np.ndarray | None, np.ndarray], out: np.ndarray
+) -> None:
+    """out = src * diagonal along the last axis of C-contiguous (rows, M)
+    arrays, with the diagonal a `_ladder` pair; out may be src.  The pair acts
+    as two broadcast multiplies on (rows, C, F) views, one when coarse is None,
+    so no M-entry diagonal is built."""
+    coarse, fine = ladder
+    if coarse is None:
+        np.multiply(src, fine, out=out)
+        return
+    shape = (-1, coarse.shape[0], fine.size)
+    work = out.reshape(shape)
+    np.multiply(src.reshape(shape), fine, out=work)
+    work *= coarse
 
 
 def dot_state_transform(label: DotLabel) -> StateVector:

@@ -61,6 +61,27 @@ def test_strict_localization_report():
     assert report.uniform_modulus_dev < 1e-15
 
 
+def test_strict_localization_keeps_support_and_flatness_apart(monkeypatch):
+    # label 1.0 of N=2 lives on the window {0, 1}: a stray amplitude at 3
+    # shows in the support and off_window_max, a hole at 1 in the flatness
+    label = DotLabel.parse("1.0")
+
+    def built_with(index, value):
+        amps = dot_state_transform(label).amps.copy()
+        amps[index] = value
+        monkeypatch.setattr(analysis, "dot_state_transform", lambda _: StateVector._adopt(2, amps))
+        return check_strict_localization(label)
+
+    stray = built_with(3, 1e-14)
+    assert stray.support == (0, 1, 3)
+    assert stray.uniform_modulus_dev < 1e-15
+    assert stray.off_window_max == 1e-14
+    hole = built_with(1, 0.0)
+    assert hole.support == (0,)
+    assert hole.off_window_max == 0.0
+    assert abs(hole.uniform_modulus_dev - np.sqrt(0.5)) < 1e-15
+
+
 def test_window_mass_frozen_snapshot():
     # dense-oracle value (2 + sqrt 2)/4 for the label 0.0, recorded once
     report = check_strict_localization(DotLabel(N=2, n=1, xbits=(0,), abits=(0,)))

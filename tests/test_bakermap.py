@@ -172,6 +172,18 @@ def test_apply_fast_does_not_depend_on_cpu_count(monkeypatch, n):
     assert np.array_equal(images[0], images[1])
 
 
+@pytest.mark.parametrize("n", [1, 2, 10, 13, 19, 20])
+def test_apply_fast_commutes_with_parity_at_n20(n):
+    # R = X^{(x) N} reverses the index and commutes with every partial
+    # transform (R K = K R = -conj(K)) and with C_n, so with every B_n: an
+    # exact check past the dense cap.  n = 1, 2 run the two-factor phase
+    # ladders of rows longer than 2^12
+    state = random_state(20, np.random.default_rng([76, n]))
+    flipped = StateVector._adopt(20, state.amps[::-1])
+    got = apply_baker_fast(flipped, n).amps
+    assert np.abs(got - apply_baker_fast(state, n).amps[::-1]).max() <= 1e-16
+
+
 def test_apply_fast_moves_dot_states():
     for N in range(1, 7):
         for n in range(1, N + 1):

@@ -10,7 +10,8 @@ from qbaker.bakermap import apply_baker_fast
 from qbaker.lattice import DotLabel, iter_labels
 from qbaker.qfourier import (
     StateVector,
-    _phase_ladder,
+    _apply_ladder,
+    _ladder,
     antiperiodic_dft,
     apply_partial_transform,
     basis_state,
@@ -198,11 +199,24 @@ def test_apply_validates_arguments():
 
 @pytest.mark.parametrize("m", range(21))
 def test_factored_ladder_matches_direct_exponentials(m):
+    # the transforms' ladders (turn +-1, offset 0 or 1/2) and C_n's twists
+    # (turn +-1/2, offset 1/2, scale 1/sqrt2), applied to two rows of ones
     M = 1 << m
-    for sign in (1, -1):
-        direct = np.exp(sign * 1j * np.pi * np.arange(M) / M)
+    for turn, offset, scale in [
+        (1, 0.0, 1.0), (-1, 0.0, 1.0), (1, 0.5, 1.0), (-1, 0.5, 1.0),
+        (0.5, 0.5, np.sqrt(0.5)), (-0.5, 0.5, np.sqrt(0.5)),
+    ]:
+        direct = scale * np.exp(turn * 1j * np.pi * (np.arange(M) + offset) / M)
         for size in (m, np.int64(m)):
-            assert np.abs(_phase_ladder(size, sign) - direct).max() < 1e-15
+            coarse, fine = ladder = _ladder(size, turn, offset, scale)
+            # one factor (one pass) up to 2^12 phases, two past it; the pairs
+            # are reused, so they are read-only
+            assert fine.size == min(M, 1 << 12)
+            assert (coarse is None) == (m <= 12)
+            assert not any(f.flags.writeable for f in ladder if f is not None)
+            out = np.empty((2, M), dtype=np.complex128)
+            _apply_ladder(np.ones((2, M), dtype=np.complex128), ladder, out)
+            assert np.abs(out - direct).max() < 1e-15
 
 
 def test_apply_accepts_numpy_integer_index():
@@ -315,6 +329,26 @@ def test_basis_state_allocates_one_state():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * state.amps.nbytes  # the copying constructor needs 2x
+
+
+@pytest.mark.parametrize("n", [1, 9])
+def test_transform_and_step_allocate_one_state_each_stage(n):
+    # a transform allocates only its output (the FFT runs in place, the
+    # ladders are factor pairs); a step holds at most two states at once
+    state = random_state(18, np.random.default_rng([77, n]))
+    calls = [
+        (lambda: apply_partial_transform(state, n), 1.25),
+        (lambda: apply_partial_transform(state, n, "inverse"), 1.25),
+        (lambda: apply_baker_fast(state, n), 2.25),
+    ]
+    for call, bound in calls:
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * state.amps.nbytes
 
 
 def test_adopted_state_keeps_the_constructor_checks():
