@@ -94,9 +94,10 @@ def schmidt_entropy(
     is taken on the smaller side of the cut, and the Schmidt probabilities
     are its eigenvalues (`eigvalsh`).  `halves` is the pair (rho_L, rho_R),
     rho_R None at N = 2, which `max_contiguous_cut_entropy` builds once for
-    all cuts; without it only the matrix on the cut's side is built.  The matrices hold the amplitudes squared, which sets a
-    rounding floor: a product state reads about 1e-13, not 0, while the
-    singular values read about 1e-15.  A basis state still reads exactly 0.
+    all cuts; without it only the matrix on the cut's side is built.  The
+    matrices hold the amplitudes squared, which sets a rounding floor: a
+    product state reads about 1e-13, not 0, while the singular values read
+    about 1e-15.  A basis state still reads exactly 0.
     """
     cut = _integer(cut, 1, state.N - 1, "cut")
     half = state.N // 2
@@ -140,13 +141,14 @@ def max_contiguous_cut_entropy(state: StateVector) -> float:
 def eigenphases(u: np.ndarray, tol: float = 1e-10) -> SpectrumReport:
     """Eigenphases of a unitary, sorted in [0, 2 pi), with circular
     nearest-neighbor spacings normalized to unit mean.  A phase within tol
-    below 2 pi reads 0, so an eigenvalue 1 sorts first whichever way its
-    imaginary part rounds."""
+    of 0 on either side reads exactly 0, so an eigenvalue 1 sorts first and
+    reads the same whichever way its imaginary part rounds."""
     u = _check_unitary(np.asarray(u, dtype=np.complex128), tol, "matrix")
     vals = np.linalg.eigvals(u)
     unit_dev = float(np.abs(np.abs(vals) - 1.0).max())
-    phases = np.mod(np.angle(vals), 2.0 * np.pi)
-    phases[phases > 2.0 * np.pi - tol] = 0.0
+    angles = np.angle(vals)
+    angles[np.abs(angles) < tol] = 0.0
+    phases = np.mod(angles, 2.0 * np.pi)
     phases.sort()
     gaps = np.diff(phases, append=phases[0] + 2.0 * np.pi)
     spacings = gaps * (len(phases) / (2.0 * np.pi))

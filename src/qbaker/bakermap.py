@@ -17,7 +17,8 @@ the same 2^n rows, which `apply_partial_transform` splits across the usable
 CPUs for large states.  At n = N both transforms are i*1 and cancel, and C_N
 is exactly the single-qubit rotation u = `last_qubit_unitary()` on slot 1, so
 B_N = Cyc_N * (u on slot 1) never entangles product states.  Both dense forms
-and an O(N^2) gate-list lowering are its checks.
+and an O(N^2) gate-list lowering are its checks.  `iterate` repeats one map;
+`qbaker evolve` calls `apply_baker_fast` in its own loop, which logs each step.
 The lowering has three gate kinds (single-qubit gates, controlled phases,
 swaps); the map's scalar phase is folded into its last gate.  `apply_circuit`
 runs a gate list on reshaped views that expose each gate's slots as axes, so
@@ -28,7 +29,7 @@ dense cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -236,25 +237,14 @@ def _slot_one_mix(state: StateVector, n: int) -> StateVector:
     return StateVector._adopt(state.N, out)
 
 
-def iterate(
-    state: StateVector,
-    n: int,
-    steps: int,
-    observe: Optional[Callable[[int, StateVector], None]] = None,
-) -> StateVector:
-    """Apply the n-th map `steps` times and return the final state.
-
-    The hook, if given, sees (0, initial state) and then (k, state after step
-    k) for each step.  The map index stays fixed for the whole trajectory.
-    """
+def iterate(state: StateVector, n: int, steps: int) -> StateVector:
+    """Apply the n-th map `steps` times and return the final state; zero
+    steps return `state` itself.  Each state is dropped once the next one is
+    built."""
     steps = _integer(steps, 0, noun="step count")
     _, n = _check_map_index(state.N, n)
-    if observe is not None:
-        observe(0, state)
-    for k in range(1, steps + 1):
+    for _ in range(steps):
         state = apply_baker_fast(state, n)
-        if observe is not None:
-            observe(k, state)
     return state
 
 

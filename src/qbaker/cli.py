@@ -14,6 +14,9 @@ the state file's layout; `statevector` hands its amplitudes to the one check
 of a state, the `StateVector` constructor.  A qbaker self-check failure (say,
 a kernel that is not unitary) therefore also exits 2 with its message.  Every
 JSON export writes a complex entry as an [re, im] pair of floats (`_pairs`).
+`evolve` checks the step count and map index by the library's rules before it
+builds a state whenever `--label` or `--N` gives N, then steps
+`apply_baker_fast` in a plain loop, one CSV row per state.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from .analysis import (
     max_contiguous_cut_entropy,
     position_support,
 )
-from .bakermap import DENSE_CAP_N, FAST_CAP_N, baker_composed, emit_circuit, iterate
-from .bakermap import apply_baker_fast  # noqa: F401  perfbench/tracing.py patches this name
+from .bakermap import DENSE_CAP_N, FAST_CAP_N, _check_map_index, apply_baker_fast
+from .bakermap import baker_composed, emit_circuit
 from .classical import label_shift
 from .lattice import DotLabel, _integer
 from .qfourier import (
@@ -146,9 +149,6 @@ def _evolve_input(args, parser, label: DotLabel | None) -> StateVector:
 
 
 def cmd_evolve(args, parser) -> int:
-    given = [args.label is not None, args.state_file is not None, args.random_product]
-    if sum(given) != 1:
-        parser.error("give exactly one of --label, --state-file, --random-product")
     label = DotLabel.parse(args.label) if args.label is not None else None
     if label is not None and args.N is not None and args.N != label.N:
         parser.error(f"--N {args.N} contradicts label with N={label.N}")
@@ -156,33 +156,35 @@ def cmd_evolve(args, parser) -> int:
         if args.N is None:
             parser.error("--random-product needs --N")
         _check_seed(args.seed)
-    N = label.N if label is not None else args.N
-    if N is not None:
-        _check_cap(parser, "evolve", N, FAST_CAP_N)
     if args.n is None and label is None:
         parser.error("--n is needed unless --label supplies the map index")
     map_index = args.n if args.n is not None else label.n
+    steps = _integer(args.steps, 0, noun="step count")
+    N = label.N if label is not None else args.N
+    if N is not None:
+        _check_cap(parser, "evolve", N, FAST_CAP_N)
+        _check_map_index(N, map_index)
+    state = _evolve_input(args, parser, label)
+    _check_map_index(state.N, map_index)  # a state file's N is known only now
 
     lines = [f"# seed={args.seed}"] if args.random_product else []
     lines.append("step,norm,support_size,max_cut_entropy,label")
-
-    def row(step: int, s: StateVector) -> None:
-        nonlocal label  # the dot label of s, None once s has left the dot basis
+    for step in range(steps + 1):
         if step > 0:
+            # rebinding drops the previous state; label stays the dot label
+            # of state, None once state has left the dot basis
+            state = apply_baker_fast(state, map_index)
             matched = None
             if label is not None and label.n == map_index:
                 candidate = label_shift(label)
-                overlap = np.vdot(dot_state_transform(candidate).amps, s.amps)
+                overlap = np.vdot(dot_state_transform(candidate).amps, state.amps)
                 if overlap.real >= 1.0 - 1e-10:
                     matched = candidate
             label = matched
-        support = position_support(s, args.tol).size
-        entropy = max_contiguous_cut_entropy(s) if s.N >= 2 else 0.0
+        support = position_support(state, args.tol).size
+        entropy = max_contiguous_cut_entropy(state) if state.N >= 2 else 0.0
         text = label.text() if label is not None else ""
-        lines.append(f"{step},{_fmt(s.norm())},{support},{_fmt(entropy)},{text}")
-
-    # no local keeps the initial state, so iterate can drop it after step 1
-    iterate(_evolve_input(args, parser, label), map_index, args.steps, observe=row)
+        lines.append(f"{step},{_fmt(state.norm())},{support},{_fmt(entropy)},{text}")
     _write("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -300,9 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="iterate a map and log per-step diagnostics")
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--n", type=int, default=None, help="map index (default: label's n)")
-    p.add_argument("--label", default=None, help="dot label giving the initial state")
-    p.add_argument("--state-file", default=None, help="CSV amplitude file (index,re,im)")
-    p.add_argument("--random-product", action="store_true", help="seeded random product state")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--label", default=None, help="dot label giving the initial state")
+    source.add_argument("--state-file", default=None, help="CSV amplitude file (index,re,im)")
+    source.add_argument("--random-product", action="store_true", help="seeded random product state")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--tol", type=float, default=1e-12, help="support threshold")

@@ -11,8 +11,8 @@ bits right of the dot fix a position window of width 1/2^n, the N-n bits
 left of the dot (read backwards) fix a momentum window of width 1/2^(N-n).
 Everything here is exact integer/rational arithmetic.  Every integer argument
 in the package (qubit count N, map and dot index n, cut, step count, bit) is
-a plain int checked by the one rule `_integer`; the subscripts j and k share
-its type part, `_as_int`, and keep their own IndexError bounds.
+a plain int checked by the one rule `_integer`; the subscripts j and k pass
+it no lower bound and keep their own IndexError bounds.
 """
 
 from __future__ import annotations
@@ -26,9 +26,13 @@ from typing import Iterator, Sequence
 Bits = tuple[int, ...]
 
 
-def _as_int(value, noun: str, least: int | None = None) -> int:
-    """value as a plain int, and >= least when least is given; any integer
-    type but bool is accepted, anything else is a ValueError naming the noun."""
+def _integer(
+    value, least: int | None = 1, most: int | None = None, noun: str = "qubit count"
+) -> int:
+    """value as a plain int in [least, most], a bound of None being no bound;
+    any integer type but bool is accepted, anything else is a ValueError
+    naming the noun.  The one rule for every integer argument: qubit counts,
+    map and dot indices, cuts, step counts, repetitions, bits and subscripts."""
     try:
         number = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
@@ -36,16 +40,6 @@ def _as_int(value, noun: str, least: int | None = None) -> int:
     if number is None or (least is not None and number < least):
         rule = "an integer" if least is None else f"an integer >= {least}"
         raise ValueError(f"{noun} must be {rule}, got {value!r}")
-    return number
-
-
-def _integer(
-    value, least: int = 1, most: int | None = None, noun: str = "qubit count"
-) -> int:
-    """value as a plain int in [least, most] (no upper bound if most is None).
-    The one rule for every integer argument: qubit counts, map and dot
-    indices, cuts, step counts, repetitions and bits."""
-    number = _as_int(value, noun, least)
     if most is not None and number > most:
         raise ValueError(f"{noun}={number} out of range [{least}, {most}]")
     return number
@@ -72,7 +66,7 @@ def _parse_dotted(text: str, noun: str) -> tuple[Bits, Bits]:
 
 def position_eigenvalue(N: int, j: int) -> Fraction:
     """Position eigenvalue q_j = (j + 1/2)/D, D = 2^N, as an exact rational."""
-    D, j = 1 << _integer(N), _as_int(j, "position index")
+    D, j = 1 << _integer(N), _integer(j, None, noun="position index")
     if not 0 <= j < D:
         raise IndexError(f"position index {j} out of range [0, {D})")
     return Fraction(2 * j + 1, 2 * D)
@@ -80,7 +74,7 @@ def position_eigenvalue(N: int, j: int) -> Fraction:
 
 def momentum_eigenvalue(N: int, k: int) -> Fraction:
     """Momentum eigenvalue p_k = (k + 1/2)/D, same half-integer lattice as q."""
-    D, k = 1 << _integer(N), _as_int(k, "momentum index")
+    D, k = 1 << _integer(N), _integer(k, None, noun="momentum index")
     if not 0 <= k < D:
         raise IndexError(f"momentum index {k} out of range [0, {D})")
     return Fraction(2 * k + 1, 2 * D)
@@ -96,7 +90,7 @@ def bits_to_index(bits: Sequence[int]) -> int:
 
 def index_to_bits(length: int, j: int) -> Bits:
     """Inverse of bits_to_index: the `length`-bit big-endian expansion of j."""
-    length, j = _integer(length, 0, noun="bit length"), _as_int(j, "index")
+    length, j = _integer(length, 0, noun="bit length"), _integer(j, None, noun="index")
     if not 0 <= j < (1 << length):
         raise IndexError(f"index {j} does not fit in {length} bits")
     return tuple((j >> (length - 1 - l)) & 1 for l in range(length))

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import DotLabel, _as_int, _binary_fraction, _integer
+from .lattice import DotLabel, _binary_fraction, _integer
 
 NORM_TOL = 1e-12
 UNITARY_TOL = 1e-12
@@ -112,7 +112,7 @@ def statevector(amps: np.ndarray) -> StateVector:
 
 def basis_state(N: int, j: int) -> StateVector:
     """Computational (= position) basis state |q_j>."""
-    D, j = 1 << _integer(N), _as_int(j, "basis index")
+    D, j = 1 << _integer(N), _integer(j, None, noun="basis index")
     if not 0 <= j < D:
         raise IndexError(f"basis index {j} out of range [0, {D})")
     amps = np.zeros(D, dtype=np.complex128)

@@ -263,8 +263,18 @@ def test_eigenphases_of_single_qubit_map():
 def test_eigenphase_just_below_zero_sorts_first(sign):
     # an eigenvalue 1 rounded to either side of the real axis reads phase ~0
     report = eigenphases(np.diag(np.exp(1j * np.array([sign * 1e-15, 1.0, 2.0]))))
+    assert report.phases[0] == 0.0
     assert np.abs(report.phases - [0.0, 1.0, 2.0]).max() < 1e-14
     assert abs(report.spacings[-1] - 3 * (2 * np.pi - 2.0) / (2 * np.pi)) < 1e-14
+
+
+def test_eigenphases_of_degenerate_eigenvalue_one_read_exactly_zero():
+    # B_8 at N = 8 has eigenvalue 1 nine times; eigvals rounds some of the
+    # nine above the real axis and some below, and all must read 0.0
+    report = eigenphases(baker_composed(8, 8))
+    assert np.all(report.phases[:9] == 0.0)
+    assert np.all(report.spacings[:8] == 0.0)
+    assert report.phases[9] > 0.1
 
 
 def test_eigenphases_normalized_spacings():

@@ -212,17 +212,10 @@ def test_apply_fast_validates_n():
         apply_baker_fast(basis_state(2, 0), 3)
 
 
-def test_iterate_zero_steps_and_hook():
+def test_iterate_zero_steps_and_four_step_norm():
     state = basis_state(3, 5)
-    seen = []
-    out = iterate(state, 1, 0, observe=lambda k, s: seen.append(k))
-    assert out is state
-    assert seen == [0]
-
-    seen.clear()
-    out = iterate(state, 1, 4, observe=lambda k, s: seen.append((k, s.norm())))
-    assert [k for k, _ in seen] == [0, 1, 2, 3, 4]
-    assert abs(out.norm() - 1.0) < 4e-10
+    assert iterate(state, 1, 0) is state
+    assert abs(iterate(state, 1, 4).norm() - 1.0) < 4e-10
 
 
 def test_iterate_norm_drift_100_steps():
@@ -245,15 +238,13 @@ def test_iterate_follows_label_until_dot_hits_zero():
     # step; iteration past that keeps applying the same fixed map
     N = 4
     label = DotLabel.parse("011.1")
+    target = dot_state_transform(label_shift(label)).amps
+    state = dot_state_transform(label)
     overlaps = []
-
-    def watch(step, state):
-        if step == 1:
-            target = dot_state_transform(label_shift(label)).amps
-            overlaps.append(np.vdot(target, state.amps))
-
-    iterate(dot_state_transform(label), 1, N, observe=watch)
-    assert len(overlaps) == 1
+    for _ in range(N):
+        state = apply_baker_fast(state, 1)
+        overlaps.append(np.vdot(target, state.amps))
+    assert [k for k, z in enumerate(overlaps, 1) if abs(z - 1.0) < 1e-10] == [1]
     assert abs(overlaps[0] - 1.0) < 1e-10
 
 

@@ -245,6 +245,8 @@ def test_localize_report(tmp_path):
         ["bench", "--N", "0"],
         ["evolve", "--state-file", "{missing}/s.csv", "--n", "1", "--steps", "1"],
         ["evolve", "--label", "01.10", "--steps", "2", "--tol", "nan"],
+        ["evolve", "--label", "0.1", "--random-product", "--N", "2", "--steps", "1"],
+        ["evolve", "--N", "2", "--n", "1", "--steps", "1"],
     ],
 )
 def test_rejected_arguments_exit_2(tmp_path, capsys, argv):
@@ -253,7 +255,8 @@ def test_rejected_arguments_exit_2(tmp_path, capsys, argv):
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err.splitlines()
-    assert err[-1].startswith("qbaker: error: ")
+    # argparse's own checks on a subcommand's flags name the subcommand
+    assert err[-1].startswith(("qbaker: error: ", f"qbaker {argv[0]}: error: "))
     assert not any("Traceback" in line for line in err)
 
 
@@ -284,6 +287,31 @@ def test_over_cap_inputs_exit_2_before_building(monkeypatch, capsys, argv):
     assert exc.value.code == 2
     line = capsys.readouterr().err.splitlines()[-1]
     assert line == f"qbaker: error: {argv[0]} is capped at N=20, got N=21"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["evolve", "--random-product", "--N", "4", "--n", "1", "--steps", "-1"],
+         "step count must be an integer >= 0, got -1"),
+        (["evolve", "--random-product", "--N", "4", "--n", "9", "--steps", "0"],
+         "map index n=9 out of range [1, 4]"),
+        (["evolve", "--label", "0.1", "--n", "3", "--steps", "0"],
+         "map index n=3 out of range [1, 2]"),
+    ],
+)
+def test_evolve_rejects_bad_steps_and_map_index_before_building(
+    monkeypatch, capsys, argv, message
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a state was built before the step count and map index")
+
+    for name in ("random_product_state", "dot_state_transform"):
+        monkeypatch.setattr(cli, name, refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"qbaker: error: {message}"
 
 
 @pytest.mark.skipif(
