@@ -97,7 +97,8 @@ def schmidt_entropy(
     all cuts; without it only the matrix on the cut's side is built.  The
     matrices hold the amplitudes squared, which sets a rounding floor: a
     product state reads about 1e-13, not 0, while the singular values read
-    about 1e-15.  A basis state still reads exactly 0.
+    about 1e-15.  A basis state still reads exactly 0, and no state reads
+    below 0 (not even -0.0).
     """
     cut = _integer(cut, 1, state.N - 1, "cut")
     half = state.N // 2
@@ -111,7 +112,7 @@ def schmidt_entropy(
         rho = np.einsum("iaib->ab", rho_right.reshape(t, k, t, k))
     probs = np.linalg.eigvalsh(rho)
     probs = probs[probs > 0]
-    return float(-np.sum(probs * np.log2(probs)))
+    return max(0.0, float(-np.sum(probs * np.log2(probs))))
 
 
 def _left_density(state: StateVector) -> np.ndarray:
@@ -142,7 +143,9 @@ def eigenphases(u: np.ndarray, tol: float = 1e-10) -> SpectrumReport:
     """Eigenphases of a unitary, sorted in [0, 2 pi), with circular
     nearest-neighbor spacings normalized to unit mean.  A phase within tol
     of 0 on either side reads exactly 0, so an eigenvalue 1 sorts first and
-    reads the same whichever way its imaginary part rounds."""
+    reads the same whichever way its imaginary part rounds.  After sorting,
+    each phase within tol of its predecessor reads as the first phase of
+    its run, so a degenerate eigenvalue has spacing exactly 0."""
     u = _check_unitary(np.asarray(u, dtype=np.complex128), tol, "matrix")
     vals = np.linalg.eigvals(u)
     unit_dev = float(np.abs(np.abs(vals) - 1.0).max())
@@ -150,6 +153,8 @@ def eigenphases(u: np.ndarray, tol: float = 1e-10) -> SpectrumReport:
     angles[np.abs(angles) < tol] = 0.0
     phases = np.mod(angles, 2.0 * np.pi)
     phases.sort()
+    fresh = np.diff(phases, prepend=-np.inf) >= tol
+    phases = phases[fresh][np.cumsum(fresh) - 1]
     gaps = np.diff(phases, append=phases[0] + 2.0 * np.pi)
     spacings = gaps * (len(phases) / (2.0 * np.pi))
     return SpectrumReport(phases=phases, unit_modulus_dev=unit_dev, spacings=spacings)

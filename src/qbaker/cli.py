@@ -6,17 +6,19 @@ command line (seeded randomness, seed echoed).  Exit codes: 0 success,
 1 verification failure, 2 usage error.
 
 The library is the one home of argument ranges: a subcommand passes its
-flags straight to qbaker, and main turns any ValueError or OSError it raises
-into a usage error that quotes the library's message.  The CLI itself checks
-only its own policy: the size caps (`_check_cap`: N=12 for the dense `matrix`
-and `spectrum`, N=20 for every other command), which flags go together, and
-the state file's layout; `statevector` hands its amplitudes to the one check
-of a state, the `StateVector` constructor.  A qbaker self-check failure (say,
-a kernel that is not unitary) therefore also exits 2 with its message.  Every
-JSON export writes a complex entry as an [re, im] pair of floats (`_pairs`).
-`evolve` checks the step count and map index by the library's rules before it
-builds a state whenever `--label` or `--N` gives N, then steps
-`apply_baker_fast` in a plain loop, one CSV row per state.
+flags straight to qbaker.  The CLI itself checks only its own policy: the
+size caps (`_check_cap`: N=12 for the dense `matrix` and `spectrum`, N=20
+for every other command), which flags go together, and the state file's
+layout; `statevector` hands its amplitudes to the one check of a state, the
+`StateVector` constructor.  Every check raises ValueError (OSError for a
+file), and main reports it under the command's own prefix, `qbaker
+<command>: error:`, as argparse reports a bad flag; so a qbaker self-check
+failure (say, a kernel that is not unitary) also exits 2 with its message.
+Every JSON export writes a complex entry as an [re, im] pair of floats
+(`_pairs`).  `evolve` takes N from one source (label, state file or --N),
+checks the step count, map index and a random seed before it builds a
+label's or --N's state, then steps `apply_baker_fast` in a plain loop, one
+CSV row per state.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .qfourier import (
     random_product_state,
     statevector,
 )
-from .verify import DEFAULT_SEED, _check_seed, _json_number, run_all, time_fast_vs_dense
+from .verify import DEFAULT_SEED, _json_number, run_all, time_fast_vs_dense
 
 
 def _fmt(x: float) -> str:
@@ -67,16 +69,16 @@ def _pairs(arr: np.ndarray) -> list:
     return np.stack([arr.real, arr.imag], -1).tolist()
 
 
-def _check_cap(parser, command: str, N: int, cap: int) -> None:
+def _check_cap(N: int, cap: int) -> None:
     if _integer(N) > cap:
-        parser.error(f"{command} is capped at N={cap}, got N={N}")
+        raise ValueError(f"capped at N={cap}, got N={N}")
 
 
-def _target_matrix(parser, args) -> np.ndarray:
-    _check_cap(parser, args.command, args.N, DENSE_CAP_N)
+def _target_matrix(args) -> np.ndarray:
+    _check_cap(args.N, DENSE_CAP_N)
     N, target = args.N, args.target
     if target in ("G", "B") and args.n is None:
-        parser.error(f"--target {target} needs --n")
+        raise ValueError(f"--target {target} needs --n")
     if target == "G":
         return partial_transform(N, args.n)
     if target == "B":
@@ -96,16 +98,16 @@ def _csv(header: str, arr: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_matrix(args, parser) -> int:
-    mat = _target_matrix(parser, args)
+def cmd_matrix(args) -> int:
+    mat = _target_matrix(args)
     text = _csv("row,col,re,im", mat) if args.format == "csv" else json.dumps(_pairs(mat)) + "\n"
     _write(text, args.out)
     return 0
 
 
-def cmd_state(args, parser) -> int:
+def cmd_state(args) -> int:
     label = DotLabel.parse(args.label)
-    _check_cap(parser, "state", label.N, FAST_CAP_N)
+    _check_cap(label.N, FAST_CAP_N)
     state = dot_state_product(label) if args.route == "product" else dot_state_transform(label)
     if args.format == "csv":
         text = _csv("index,re,im", state.amps)
@@ -115,7 +117,7 @@ def cmd_state(args, parser) -> int:
     return 0
 
 
-def _read_state_file(parser, path: str) -> StateVector:
+def _read_state_file(path: str) -> StateVector:
     rows = Path(path).read_text(encoding="utf-8").strip().splitlines()
     if rows and rows[0].lower().startswith("index"):
         rows = rows[1:]
@@ -123,49 +125,42 @@ def _read_state_file(parser, path: str) -> StateVector:
     for row in rows:
         parts = row.split(",")
         if len(parts) != 3:
-            parser.error(f"state file rows must be 'index,re,im', got {row!r}")
+            raise ValueError(f"state file rows must be 'index,re,im', got {row!r}")
         index = int(parts[0])
         if index in amps_by_index:
-            parser.error(f"state file lists index {index} more than once")
+            raise ValueError(f"state file lists index {index} more than once")
         amps_by_index[index] = float(parts[1]) + 1j * float(parts[2])
     size = len(amps_by_index)
     if set(amps_by_index) != set(range(size)):
-        parser.error("state file must list every index 0..2^N-1 exactly once")
+        raise ValueError("state file must list every index 0..2^N-1 exactly once")
     return statevector([amps_by_index[j] for j in range(size)])
 
 
-def _evolve_input(args, parser, label: DotLabel | None) -> StateVector:
-    """evolve's initial state.  A label or --N passed the cap before this
-    runs; a state file's N is known only once it is read."""
-    if label is not None:
-        return dot_state_transform(label)
-    if args.random_product:
-        return random_product_state(args.N, np.random.default_rng(args.seed))
-    state = _read_state_file(parser, args.state_file)
-    if args.N is not None and args.N != state.N:
-        parser.error(f"--N {args.N} contradicts state file with N={state.N}")
-    _check_cap(parser, "evolve", state.N, FAST_CAP_N)
-    return state
-
-
-def cmd_evolve(args, parser) -> int:
-    label = DotLabel.parse(args.label) if args.label is not None else None
-    if label is not None and args.N is not None and args.N != label.N:
-        parser.error(f"--N {args.N} contradicts label with N={label.N}")
-    if args.random_product:
+def cmd_evolve(args) -> int:
+    label = state = None
+    if args.label is not None:
+        label = DotLabel.parse(args.label)
+        N, source = label.N, "label"
+    elif args.random_product:
         if args.N is None:
-            parser.error("--random-product needs --N")
-        _check_seed(args.seed)
+            raise ValueError("--random-product needs --N")
+        N, source = args.N, "--N"
+        _integer(args.seed, 0, noun="seed")
+    else:
+        state = _read_state_file(args.state_file)
+        N, source = state.N, "state file"
+    if args.N is not None and args.N != N:
+        raise ValueError(f"--N {args.N} contradicts {source} with N={N}")
     if args.n is None and label is None:
-        parser.error("--n is needed unless --label supplies the map index")
+        raise ValueError("--n is needed unless --label supplies the map index")
     map_index = args.n if args.n is not None else label.n
     steps = _integer(args.steps, 0, noun="step count")
-    N = label.N if label is not None else args.N
-    if N is not None:
-        _check_cap(parser, "evolve", N, FAST_CAP_N)
-        _check_map_index(N, map_index)
-    state = _evolve_input(args, parser, label)
-    _check_map_index(state.N, map_index)  # a state file's N is known only now
+    _check_cap(N, FAST_CAP_N)
+    _check_map_index(N, map_index)
+    if label is not None:
+        state = dot_state_transform(label)
+    elif state is None:
+        state = random_product_state(N, np.random.default_rng(args.seed))
 
     lines = [f"# seed={args.seed}"] if args.random_product else []
     lines.append("step,norm,support_size,max_cut_entropy,label")
@@ -189,8 +184,8 @@ def cmd_evolve(args, parser) -> int:
     return 0
 
 
-def cmd_spectrum(args, parser) -> int:
-    report = eigenphases(_target_matrix(parser, args))
+def cmd_spectrum(args) -> int:
+    report = eigenphases(_target_matrix(args))
     lines = ["index,phase,spacing"]
     for i, (phase, gap) in enumerate(zip(report.phases, report.spacings)):
         lines.append(f"{i},{_fmt(phase)},{_fmt(gap)}")
@@ -198,9 +193,9 @@ def cmd_spectrum(args, parser) -> int:
     return 0
 
 
-def cmd_localize(args, parser) -> int:
+def cmd_localize(args) -> int:
     label = DotLabel.parse(args.label)
-    _check_cap(parser, "localize", label.N, FAST_CAP_N)
+    _check_cap(label.N, FAST_CAP_N)
     report = check_strict_localization(label)
     payload = {
         "label": label.text(),
@@ -224,15 +219,15 @@ def _gate_record(gate) -> dict:
     return record
 
 
-def cmd_circuit(args, parser) -> int:
-    _check_cap(parser, "circuit", args.N, FAST_CAP_N)
+def cmd_circuit(args) -> int:
+    _check_cap(args.N, FAST_CAP_N)
     gl = emit_circuit(args.N, args.n)
     payload = {"N": gl.N, "gates": [_gate_record(g) for g in gl.gates]}
     _write(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
 
-def cmd_verify(args, parser) -> int:
+def cmd_verify(args) -> int:
     results = run_all(max_n=args.max_N, seed=args.seed, perturb=args.perturb)
     for r in results:
         print(r.line())
@@ -255,10 +250,10 @@ def cmd_verify(args, parser) -> int:
     return 1 if failed else 0
 
 
-def cmd_bench(args, parser) -> int:
+def cmd_bench(args) -> int:
     for N in args.N:
-        _check_cap(parser, "bench", N, FAST_CAP_N)
-    rng = np.random.default_rng(_check_seed(args.seed))
+        _check_cap(N, FAST_CAP_N)
+    rng = np.random.default_rng(_integer(args.seed, 0, noun="seed"))
     lines = [f"# seed={args.seed}", "N,n,dense_ms,fast_ms,speedup,max_abs_err"]
     for N in args.N:
         n = min(args.n, N)
@@ -346,6 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_out(p)
     p.set_defaults(func=cmd_bench)
 
+    for p in sub.choices.values():
+        p.set_defaults(error=p.error)  # main reports under the command's own prefix
     return parser
 
 
@@ -353,9 +350,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except (ValueError, OSError) as exc:
-        parser.error(str(exc))
+        args.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -54,18 +54,6 @@ from .qfourier import (
 DEFAULT_SEED = 20990
 
 
-def _check_seed(seed):
-    """seed itself if it is not a bool and numpy can seed a generator from it
-    (an integer or a sequence of them); otherwise a ValueError that quotes it."""
-    try:
-        if isinstance(seed, bool):
-            raise TypeError
-        np.random.SeedSequence(seed)
-    except (TypeError, ValueError):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}") from None
-    return seed
-
-
 @dataclass
 class CheckResult:
     name: str
@@ -453,7 +441,7 @@ def run_all(
 ) -> list[CheckResult]:
     """Run every acceptance criterion, clamped to max_n when given."""
     cap = FAST_CAP_N if max_n is None else _integer(max_n, noun="max_n")
-    _check_seed(seed)  # reject a bad seed before any criterion runs
+    _integer(seed, 0, noun="seed")  # reject a bad seed before any criterion runs
     results: list[CheckResult] = []
     for criterion in criteria(cap, seed, perturb):
         batch: list[CheckResult] = []

@@ -1,4 +1,5 @@
 import gc
+import math
 import tracemalloc
 import weakref
 
@@ -186,6 +187,17 @@ def test_max_cut_entropy_examples():
         max_contiguous_cut_entropy(basis_state(1, 0))
 
 
+def test_entropies_never_read_below_zero():
+    # -sum(p log2 p) rounds to -0.0 on a basis state and to about -1e-16 on
+    # some product states; both must read +0.0
+    for cut in (1, 2):
+        assert math.copysign(1.0, schmidt_entropy(basis_state(3, 5), cut)) == 1.0
+    for N in (2, 5, 10):
+        for seed in range(200):
+            state = random_product_state(N, np.random.default_rng(seed))
+            assert math.copysign(1.0, max_contiguous_cut_entropy(state)) == 1.0, (N, seed)
+
+
 def _count_gram_products(monkeypatch):
     """Count the half-string matrices built, per side."""
     built = {"left": 0, "right": 0}
@@ -275,6 +287,14 @@ def test_eigenphases_of_degenerate_eigenvalue_one_read_exactly_zero():
     assert np.all(report.phases[:9] == 0.0)
     assert np.all(report.spacings[:8] == 0.0)
     assert report.phases[9] > 0.1
+
+
+@pytest.mark.parametrize("N, n", [(6, n) for n in range(1, 7)] + [(8, 8)])
+def test_eigenphases_degenerate_runs_read_spacing_zero(N, n):
+    # a degenerate eigenvalue reads spacing exactly 0, never a rounding-size
+    # one, and no genuine gap comes near the merging tolerance
+    gaps = np.diff(eigenphases(baker_composed(N, n)).phases)
+    assert np.all((gaps == 0.0) | (gaps > 1e-6))
 
 
 def test_eigenphases_normalized_spacings():

@@ -154,6 +154,8 @@ def test_evolve_bn_tracks_full_dot_label(tmp_path):
     # first step tracks the shift; afterwards the fixed map leaves the dot basis
     assert rows[2].split(",")[4] == "1.01"
     assert rows[3].split(",")[4] == ""
+    # the basis states of steps 0 and 2 read entropy 0, not -0
+    assert rows[1].split(",")[3] == rows[3].split(",")[3] == "0"
 
 
 def test_evolve_rejects_bad_label():
@@ -218,6 +220,20 @@ def test_spectrum_single_qubit_map(tmp_path):
     assert abs(phases[1] - 1.5 * np.pi) < 1e-10
 
 
+def test_spectrum_degenerate_phases_read_equal(tmp_path):
+    out = tmp_path / "spectrum.csv"
+    assert main(
+        ["spectrum", "--target", "B", "--N", "8", "--n", "8", "--out", str(out)]
+    ) == 0
+    rows = [r.split(",") for r in out.read_text().strip().splitlines()[1:]]
+    # B_8 has the eigenphase pi/16 eight times (rows 9..16): one phase, spacing 0
+    run = rows[9:17]
+    assert abs(float(run[0][1]) - np.pi / 16) < 1e-12
+    assert all(phase == run[0][1] for _, phase, _ in run)
+    assert [gap for _, _, gap in run[:-1]] == ["0"] * 7
+    assert float(run[-1][2]) > 1.0
+
+
 def test_localize_report(tmp_path):
     out = tmp_path / "loc.json"
     assert main(["localize", "--label", "0.10", "--out", str(out)]) == 0
@@ -255,9 +271,56 @@ def test_rejected_arguments_exit_2(tmp_path, capsys, argv):
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err.splitlines()
-    # argparse's own checks on a subcommand's flags name the subcommand
-    assert err[-1].startswith(("qbaker: error: ", f"qbaker {argv[0]}: error: "))
+    assert err[-1].startswith(f"qbaker {argv[0]}: error: ")
     assert not any("Traceback" in line for line in err)
+
+
+def test_argparse_and_library_errors_share_the_command_prefix(capsys):
+    lines = []
+    for argv in (
+        ["evolve", "--N", "2", "--n", "1", "--steps", "1"],  # argparse: no source
+        ["evolve", "--label", "0.1", "--steps", "-1"],  # library: step count
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        lines.append(capsys.readouterr().err.splitlines())
+    for err in lines:
+        assert err[0].startswith("usage: qbaker evolve ")
+        assert err[-1].startswith("qbaker evolve: error: ")
+    assert lines[1][-1] == "qbaker evolve: error: step count must be an integer >= 0, got -1"
+
+
+@pytest.mark.parametrize(
+    "argv, state_file, message",
+    [
+        (["evolve", "--label", "0.1", "--N", "3", "--steps", "1"], None,
+         "--N 3 contradicts label with N=2"),
+        (["evolve", "--N", "3", "--n", "1", "--steps", "1"], "index,re,im\n0,1,0\n1,0,0\n",
+         "--N 3 contradicts state file with N=1"),
+        (["evolve", "--random-product", "--n", "1", "--steps", "1"], None,
+         "--random-product needs --N"),
+        (["evolve", "--random-product", "--N", "2", "--steps", "1"], None,
+         "--n is needed unless --label supplies the map index"),
+        (["matrix", "--target", "G", "--N", "2"], None, "--target G needs --n"),
+        (["spectrum", "--target", "B", "--N", "2"], None, "--target B needs --n"),
+        (["evolve", "--n", "1", "--steps", "1"], "index,re,im\n0,1\n1,0,0\n",
+         "state file rows must be 'index,re,im', got '0,1'"),
+        (["evolve", "--n", "1", "--steps", "1"], "index,re,im\n0,1,0\n2,0,0\n",
+         "state file must list every index 0..2^N-1 exactly once"),
+        (["evolve", "--n", "1", "--steps", "1"], "index,re,im\n0,1,0\n0,0,0\n",
+         "state file lists index 0 more than once"),
+    ],
+)
+def test_policy_errors_quote_their_message(tmp_path, capsys, argv, state_file, message):
+    if state_file is not None:
+        path = tmp_path / "in.csv"
+        path.write_text(state_file)
+        argv = [*argv, "--state-file", str(path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"qbaker {argv[0]}: error: {message}"
 
 
 LABEL_21 = "0" * 10 + "." + "1" * 11  # N = 21: one state would take 32 MiB
@@ -286,7 +349,7 @@ def test_over_cap_inputs_exit_2_before_building(monkeypatch, capsys, argv):
         main(argv)
     assert exc.value.code == 2
     line = capsys.readouterr().err.splitlines()[-1]
-    assert line == f"qbaker: error: {argv[0]} is capped at N=20, got N=21"
+    assert line == f"qbaker {argv[0]}: error: capped at N=20, got N=21"
 
 
 @pytest.mark.parametrize(
@@ -311,7 +374,7 @@ def test_evolve_rejects_bad_steps_and_map_index_before_building(
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1] == f"qbaker: error: {message}"
+    assert capsys.readouterr().err.splitlines()[-1] == f"qbaker evolve: error: {message}"
 
 
 @pytest.mark.skipif(
@@ -350,7 +413,7 @@ def test_negative_seed_error_quotes_the_seed(tmp_path, capsys):
             main(argv)
         assert exc.value.code == 2
         line = capsys.readouterr().err.splitlines()[-1]
-        assert line.startswith("qbaker: error: seed") and "-1" in line, argv
+        assert line == f"qbaker {argv[0]}: error: seed must be an integer >= 0, got -1"
     # a labelled run draws nothing, so its seed is never checked
     out = tmp_path / "run.csv"
     assert main(["evolve", "--label", "0.1", "--steps", "1", "--seed", "-1", "--out", str(out)]) == 0

@@ -23,7 +23,7 @@ from qbaker.qfourier import (
     displacement_u,
     partial_transform,
 )
-from qbaker.verify import _check_seed, best_time, run_all, time_fast_vs_dense
+from qbaker.verify import best_time, run_all, time_fast_vs_dense
 
 # builders that take a qubit count N as their first argument
 N_BUILDERS = {
@@ -100,7 +100,7 @@ def test_iter_labels_checks_when_called():
         (lambda: run_all(max_n=True), "max_n must be an integer >= 1, got True"),
         (lambda: correspondence_trajectory(DotLabel.parse("1.0"), 2),
          "step count (dot exhausted after n)=2 out of range [0, 1]"),
-        (lambda: _check_seed(True), "seed must be a non-negative integer, got True"),
+        (lambda: run_all(max_n=2, seed=True), "seed must be an integer >= 0, got True"),
     ],
 )
 def test_rejected_integers_name_the_argument(call, message):
@@ -125,7 +125,6 @@ def test_qubit_counts_accept_numpy_integers():
     assert bits_to_index(bits) == int("".join(map(str, bits)), 2)
     s = SymbolString(left=bits[:2], right=bits[2:])
     assert all(type(b) is int for b in s.left + s.right)
-    assert _check_seed([1, 2]) == [1, 2]  # numpy seeds may be integer sequences
 
 
 @pytest.mark.parametrize("bad_n", [1.0, True, -1, "1"])
