@@ -10,10 +10,9 @@ flags straight to qbaker.  The CLI itself checks only its own policy: the
 size caps (`_check_cap`: N=12 for the dense `matrix` and `spectrum`, N=20
 for every other command), which flags go together, and the state file's
 layout; `statevector` hands its amplitudes to the one check of a state, the
-`StateVector` constructor.  Every check raises ValueError (OSError for a
-file), and main reports it under the command's own prefix, `qbaker
-<command>: error:`, as argparse reports a bad flag; so a qbaker self-check
-failure (say, a kernel that is not unitary) also exits 2 with its message.
+`StateVector` constructor.  Every check, an unrecognized argument and a
+failed self-check raise ValueError (OSError for a file); main reports each as
+argparse reports a bad flag, under `qbaker <command>: error:`, and exits 2.
 Every JSON export writes a complex entry as an [re, im] pair of floats
 (`_pairs`).  `evolve` takes N from one source (label, state file or --N),
 checks the step count, map index and a random seed before it builds a
@@ -45,7 +44,6 @@ from .qfourier import (
     antiperiodic_dft,
     displacement_u,
     displacement_v,
-    dot_state_product,
     dot_state_transform,
     partial_transform,
     random_product_state,
@@ -108,7 +106,7 @@ def cmd_matrix(args) -> int:
 def cmd_state(args) -> int:
     label = DotLabel.parse(args.label)
     _check_cap(label.N, FAST_CAP_N)
-    state = dot_state_product(label) if args.route == "product" else dot_state_transform(label)
+    state = dot_state_transform(label)
     if args.format == "csv":
         text = _csv("index,re,im", state.amps)
     else:
@@ -123,13 +121,14 @@ def _read_state_file(path: str) -> StateVector:
         rows = rows[1:]
     amps_by_index = {}
     for row in rows:
-        parts = row.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"state file rows must be 'index,re,im', got {row!r}")
-        index = int(parts[0])
+        try:
+            index, re, im = row.split(",")
+            index, amp = int(index), float(re) + 1j * float(im)
+        except ValueError:
+            raise ValueError(f"state file rows must be 'index,re,im', got {row!r}") from None
         if index in amps_by_index:
             raise ValueError(f"state file lists index {index} more than once")
-        amps_by_index[index] = float(parts[1]) + 1j * float(parts[2])
+        amps_by_index[index] = amp
     size = len(amps_by_index)
     if set(amps_by_index) != set(range(size)):
         raise ValueError("state file must list every index 0..2^N-1 exactly once")
@@ -289,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("state", help="export the amplitudes of a dot-basis state")
     p.add_argument("--label", required=True, help="dot label, e.g. 01.10")
-    p.add_argument("--route", choices=["transform", "product"], default="transform")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     add_out(p)
     p.set_defaults(func=cmd_state)
@@ -348,8 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
     try:
+        if extra:
+            raise ValueError(f"unrecognized arguments: {' '.join(extra)}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         args.error(str(exc))

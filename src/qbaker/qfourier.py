@@ -154,15 +154,15 @@ def _check_unitary(m: np.ndarray, tol: float, what: str) -> np.ndarray:
 def antiperiodic_dft(M: int) -> np.ndarray:
     """Dense M x M transform K[x, a] = exp{2 pi i (x+1/2)(a+1/2)/M}/sqrt(M).
 
-    M must be a power of two; M = 1 gives the 1 x 1 matrix (i).  The kernel
-    is unitarity-checked on every build and returned as a fresh, writable
-    array.
+    M must be a power of two; M = 1 gives the 1 x 1 matrix (i).  Each phase
+    is taken at the exact integer residue (2x+1)(2a+1) mod 4M.  The kernel is
+    unitarity-checked on every build and returned as a fresh, writable array.
     """
     M = _integer(M, noun="transform size")
     if M & (M - 1):
         raise ValueError(f"transform size must be a power of two >= 1, got {M}")
-    half = np.arange(M) + 0.5
-    kernel = np.exp(2j * np.pi * np.outer(half, half) / M) / np.sqrt(M)
+    odd = 2 * np.arange(M) + 1
+    kernel = np.exp(2j * np.pi * (np.outer(odd, odd) % (4 * M)) / (4 * M)) / np.sqrt(M)
     return _check_unitary(kernel, UNITARY_TOL, f"antiperiodic DFT (M={M})")
 
 
@@ -343,10 +343,8 @@ def displacement_u(N: int) -> np.ndarray:
 
 
 def displacement_v(N: int) -> np.ndarray:
-    """Position-direction displacement on N qubits, V = F diag(e^{-2 pi i p_k})
-    F^dag; maps |q_j> to |q_{j+1}> with an antiperiodic wrap |q_{D-1}> -> -|q_0>."""
-    D = 1 << _integer(N)
-    fourier = antiperiodic_dft(D)
-    p = (np.arange(D) + 0.5) / D
-    v = fourier @ (np.exp(-2j * np.pi * p)[:, None] * fourier.conj().T)
+    """Position-direction displacement on N qubits, V = F diag(e^{-2 pi i p_k}) F^dag,
+    built exactly as the signed shift |q_j> -> |q_{j+1}>, |q_{D-1}> -> -|q_0>."""
+    v = np.eye(1 << _integer(N), k=-1, dtype=np.complex128)
+    v[0, -1] = -1.0
     return _check_unitary(v, UNITARY_TOL, "displacement V")

@@ -96,19 +96,6 @@ def test_state_export_roundtrip(tmp_path):
     assert np.array_equal(amps, expected)
 
 
-def test_state_product_route(tmp_path):
-    from qbaker.qfourier import dot_state_product
-
-    out = tmp_path / "state.json"
-    assert main(
-        ["state", "--label", "01.1", "--route", "product", "--format", "json",
-         "--out", str(out)]
-    ) == 0
-    payload = json.loads(out.read_text())
-    amps = np.array([complex(re, im) for re, im in payload["amps"]])
-    assert np.array_equal(amps, dot_state_product(DotLabel.parse("01.1")).amps)
-
-
 def test_evolve_tracks_label(tmp_path):
     out = tmp_path / "evolve.csv"
     assert main(
@@ -263,6 +250,8 @@ def test_localize_report(tmp_path):
         ["evolve", "--label", "01.10", "--steps", "2", "--tol", "nan"],
         ["evolve", "--label", "0.1", "--random-product", "--N", "2", "--steps", "1"],
         ["evolve", "--N", "2", "--n", "1", "--steps", "1"],
+        ["evolve", "--label", "0.1", "--steps", "1", "--bogus", "1"],
+        ["state", "--label", "0.1", "--route", "product"],
     ],
 )
 def test_rejected_arguments_exit_2(tmp_path, capsys, argv):
@@ -310,6 +299,10 @@ def test_argparse_and_library_errors_share_the_command_prefix(capsys):
          "state file must list every index 0..2^N-1 exactly once"),
         (["evolve", "--n", "1", "--steps", "1"], "index,re,im\n0,1,0\n0,0,0\n",
          "state file lists index 0 more than once"),
+        (["evolve", "--n", "1", "--steps", "1"], "index,re,im\n0.5,1,0\n1,0,0\n",
+         "state file rows must be 'index,re,im', got '0.5,1,0'"),
+        (["evolve", "--n", "1", "--steps", "1"], "index,re,im\n0,abc,0\n1,0,0\n",
+         "state file rows must be 'index,re,im', got '0,abc,0'"),
     ],
 )
 def test_policy_errors_quote_their_message(tmp_path, capsys, argv, state_file, message):
@@ -330,7 +323,6 @@ LABEL_21 = "0" * 10 + "." + "1" * 11  # N = 21: one state would take 32 MiB
     "argv",
     [
         ["state", "--label", LABEL_21, "--format", "json"],
-        ["state", "--label", LABEL_21, "--route", "product"],
         ["localize", "--label", LABEL_21],
         ["evolve", "--label", LABEL_21, "--steps", "1"],
         ["evolve", "--random-product", "--N", "21", "--n", "1", "--steps", "1"],
@@ -342,8 +334,8 @@ def test_over_cap_inputs_exit_2_before_building(monkeypatch, capsys, argv):
     def refuse(*args, **kwargs):
         raise AssertionError("a state or circuit was built or timed before the size cap")
 
-    for name in ("dot_state_transform", "dot_state_product", "check_strict_localization",
-                 "random_product_state", "time_fast_vs_dense", "emit_circuit"):
+    for name in ("dot_state_transform", "check_strict_localization", "random_product_state",
+                 "time_fast_vs_dense", "emit_circuit"):
         monkeypatch.setattr(cli, name, refuse)
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -113,6 +113,12 @@ def test_kernel_matches_dense_oracle(M):
     assert np.abs(antiperiodic_dft(M) - dense_kernel(M)).max() < 1e-14
 
 
+def test_kernel_phases_are_exact_residues():
+    # only exact phase residues reach this bound: phases from the float
+    # product (x+1/2)(a+1/2)/M give a defect of 7.6e-14 at this size
+    assert unitarity_defect(antiperiodic_dft(1 << 10)) <= 1e-15
+
+
 @pytest.mark.parametrize("M", [0, 3, 6, -4])
 def test_kernel_rejects_non_powers_of_two(M):
     with pytest.raises(ValueError):
@@ -422,12 +428,16 @@ def test_displacement_u_values():
 
 
 def test_displacement_v_is_antiperiodic_shift():
-    v = displacement_v(1)
-    assert np.abs(v - np.array([[0.0, -1.0], [1.0, 0.0]])).max() < 1e-12
-    for N in (2, 3, 4):
-        v = displacement_v(N)
+    # V is built as the signed cyclic permutation; its spectral form
+    # F diag(e^{-2 pi i p}) F^dag is the oracle
+    for N in (1, 2, 3, 4, 8):
         D = 2**N
         expected = np.zeros((D, D))
         expected[1:, :-1] = np.eye(D - 1)
         expected[0, -1] = -1.0
-        assert np.abs(v - expected).max() < 1e-12
+        v = displacement_v(N)
+        assert np.array_equal(v, expected)
+        fourier = antiperiodic_dft(D)
+        p = (np.arange(D) + 0.5) / D
+        spectral = fourier @ (np.exp(-2j * np.pi * p)[:, None] * fourier.conj().T)
+        assert np.abs(spectral - v).max() < 1e-12
