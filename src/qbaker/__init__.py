@@ -46,7 +46,6 @@ from .bakermap import (
     baker_composed,
     baker_from_basis_map,
     circuit_to_matrix,
-    cyclic_shift_operator,
     emit_circuit,
     iterate,
     last_qubit_unitary,
@@ -96,7 +95,6 @@ __all__ = [
     "dot_state_product",
     "displacement_u",
     "displacement_v",
-    "cyclic_shift_operator",
     "baker_from_basis_map",
     "baker_composed",
     "last_qubit_unitary",

@@ -9,7 +9,8 @@ where Cyc_n cyclically rotates the contents of the first n qubit slots (slot 1
 moves to slot n) and G_k is the partial antiperiodic transform.  Cyc_n acts on
 slots 1..n and G_n^dag on slots n+1..N, so the two commute: `baker_composed`
 builds the product as (I (x) T) * Cyc_n from a closed form of T, and
-`baker_from_basis_map` from the basis action.  The production route is the
+`baker_from_basis_map` from the basis action, on the columns of the dense
+partial transforms; neither calls the fast path.  The production route is the
 O(D*N) state apply `apply_baker_fast`.  It runs every map as the one exact
 refactoring B_n = Cyc_N * G_n * C_n * G_n^dag, where C_n mixes slot 1 with a
 fixed 2x2 unitary and a diagonal phase: both partial transforms then act on
@@ -28,6 +29,7 @@ dense cap.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -42,7 +44,7 @@ from .qfourier import (
     _check_unitary,
     _ladder,
     apply_partial_transform,
-    dot_state_transform,
+    partial_transform,
 )
 
 DENSE_CAP_N = 12
@@ -73,6 +75,10 @@ class Gate:
         if len(set(targets)) != len(targets):
             raise ValueError(f"targets must be distinct slots, got {targets}")
         object.__setattr__(self, "targets", targets)
+        used = {"single_qubit": "matrix", "controlled_phase": "angle"}.get(self.kind)
+        for field in ("matrix", "angle"):
+            if field != used and getattr(self, field) is not None:
+                raise ValueError(f"{self.kind} gate takes no {field}")
         if self.kind == "single_qubit":
             if len(targets) != 1 or self.matrix is None:
                 raise ValueError("single_qubit gate needs one target and a matrix")
@@ -85,6 +91,10 @@ class Gate:
         elif self.kind == "controlled_phase":
             if len(targets) != 2 or self.angle is None:
                 raise ValueError("controlled_phase gate needs two targets and an angle")
+            real = isinstance(self.angle, numbers.Real) and not isinstance(self.angle, bool)
+            if not (real and np.isfinite(self.angle)):
+                raise ValueError(f"gate angle must be a finite number, got {self.angle!r}")
+            object.__setattr__(self, "angle", float(self.angle))
         elif len(targets) != 2:
             raise ValueError("swap gate needs two targets")
 
@@ -94,7 +104,7 @@ class Gate:
 
     @classmethod
     def controlled_phase(cls, slot_a: int, slot_b: int, angle: float) -> "Gate":
-        return cls(kind="controlled_phase", targets=(slot_a, slot_b), angle=float(angle))
+        return cls(kind="controlled_phase", targets=(slot_a, slot_b), angle=angle)
 
     @classmethod
     def swap(cls, slot_a: int, slot_b: int) -> "Gate":
@@ -135,25 +145,15 @@ def _cyclic_rows(arr: np.ndarray, N: int, n: int) -> np.ndarray:
     return shaped.transpose(axes).reshape(arr.shape)
 
 
-def cyclic_shift_operator(N: int, n: int) -> np.ndarray:
-    """Permutation matrix on N qubits for the slot rotation (x1, x2, ..., xn,
-    rest) -> (x2, ..., xn, x1, rest)."""
-    N, n = _check_map_index(N, n)
-    return _cyclic_rows(np.eye(1 << N), N, n)
-
-
 def baker_from_basis_map(N: int, n: int) -> np.ndarray:
     """Dense map assembled directly from its action on the dot basis: the
-    state labelled ...a_1.x_1...x_n goes to the one labelled ...a_1x_1.x_2...x_n."""
+    state labelled ...a_1.x_1...x_n goes to the one labelled
+    ...a_1x_1.x_2...x_n.  The dot states are the columns of the dense partial
+    transforms: column j of G_n is the j-th label of `iter_labels(N, n)`, and
+    its image is column `label_shift(label).basis_index` of G_{n-1}."""
     N, n = _check_map_index(N, n)
-    D = 1 << N
-    src = np.empty((D, D), dtype=np.complex128)
-    tgt = np.empty((D, D), dtype=np.complex128)
-    for label in iter_labels(N, n):
-        j = label.basis_index
-        src[:, j] = dot_state_transform(label).amps
-        tgt[:, j] = dot_state_transform(label_shift(label)).amps
-    return tgt @ src.conj().T
+    shifted = [label_shift(label).basis_index for label in iter_labels(N, n)]
+    return partial_transform(N, n - 1)[:, shifted] @ partial_transform(N, n).conj().T
 
 
 def baker_composed(N: int, n: int) -> np.ndarray:

@@ -146,7 +146,7 @@ def unitarity_defect(m: np.ndarray) -> float:
 
 def _check_unitary(m: np.ndarray, tol: float, what: str) -> np.ndarray:
     defect = unitarity_defect(m)
-    if defect > tol:
+    if not defect <= tol:  # so a NaN defect fails too
         raise ValueError(f"{what} is not unitary: defect {defect:.3e} > {tol:.1e}")
     return m
 

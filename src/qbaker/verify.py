@@ -27,12 +27,12 @@ from .bakermap import (
     DENSE_CAP_N,
     FAST_CAP_N,
     _check_map_index,
+    _cyclic_rows,
     apply_baker_fast,
     apply_circuit,
     baker_composed,
     baker_from_basis_map,
     circuit_to_matrix,
-    cyclic_shift_operator,
     emit_circuit,
     last_qubit_unitary,
 )
@@ -231,7 +231,7 @@ def check_bn_structure(cap: int, seed: int) -> list[CheckResult]:
     worst = 0.0
     for N in range(1, min(8, cap) + 1):
         rotate_last = np.kron(np.eye(1 << (N - 1)), last_qubit_unitary())
-        direct = rotate_last @ cyclic_shift_operator(N, N)
+        direct = rotate_last @ _cyclic_rows(np.eye(1 << N), N, N)
         worst = np.maximum(worst, np.abs(baker_composed(N, N) - direct).max())
     out.append(_max_result("7a B_N = (u on last)*Cyc_N", worst, 1e-12))
 

@@ -6,13 +6,13 @@ from qbaker.analysis import max_contiguous_cut_entropy
 from qbaker.bakermap import (
     Gate,
     GateList,
+    _cyclic_rows,
     _slot_one_mix,
     apply_baker_fast,
     apply_circuit,
     baker_composed,
     baker_from_basis_map,
     circuit_to_matrix,
-    cyclic_shift_operator,
     emit_circuit,
     iterate,
     last_qubit_unitary,
@@ -41,19 +41,12 @@ U_EXPECTED = np.array(
 
 
 def test_cyclic_shift_examples():
-    assert np.abs(cyclic_shift_operator(3, 1) - np.eye(8)).max() == 0.0
+    assert np.abs(_cyclic_rows(np.eye(8), 3, 1) - np.eye(8)).max() == 0.0
     swap = np.eye(4)[[0, 2, 1, 3]]
-    assert np.abs(cyclic_shift_operator(2, 2) - swap).max() == 0.0
+    assert np.abs(_cyclic_rows(np.eye(4), 2, 2) - swap).max() == 0.0
     # |110> -> |101>
-    out = cyclic_shift_operator(3, 3) @ basis_state(3, 0b110).amps
+    out = _cyclic_rows(np.eye(8), 3, 3) @ basis_state(3, 0b110).amps
     assert np.abs(out - basis_state(3, 0b101).amps).max() == 0.0
-
-
-def test_cyclic_shift_range():
-    with pytest.raises(ValueError):
-        cyclic_shift_operator(2, 0)
-    with pytest.raises(ValueError):
-        cyclic_shift_operator(2, 3)
 
 
 # --- dense constructions -----------------------------------------------------
@@ -68,6 +61,25 @@ def test_last_qubit_unitary_columns():
 def test_basis_map_n1_is_u():
     assert np.abs(baker_from_basis_map(1, 1) - U_EXPECTED).max() < 1e-15
     assert np.abs(baker_composed(1, 1) - U_EXPECTED).max() < 1e-15
+
+
+def test_basis_map_never_calls_the_fast_path(monkeypatch):
+    # the dense oracle reads its dot states off the dense transforms
+    def refuse(*args, **kwargs):
+        raise AssertionError("the basis-action route applied a fast transform")
+
+    monkeypatch.setattr(qfourier, "apply_partial_transform", refuse)
+    for N in range(1, 7):
+        for n in range(1, N + 1):
+            assert baker_from_basis_map(N, n).shape == (1 << N, 1 << N)
+
+
+@pytest.mark.parametrize("N", range(1, 7))
+def test_basis_map_n1_is_exactly_g0_g1_dag(N):
+    # Saraceno's B_1 = G_0 G_1^dag: at n = 1 the label shift keeps every
+    # basis index, so the route computes this very product
+    want = partial_transform(N, 0) @ partial_transform(N, 1).conj().T
+    assert np.array_equal(baker_from_basis_map(N, 1), want)
 
 
 def test_phase_space_cell_stretches():
@@ -155,7 +167,7 @@ def test_step_factorization_matches_composed_map(N):
     for n in range(1, N):
         g, c = partial_transform(N, n), slot_one_mix_matrix(N, n)
         assert np.abs(c.conj().T @ c - np.eye(1 << N)).max() < 1e-14
-        got = cyclic_shift_operator(N, N) @ g @ c @ g.conj().T
+        got = _cyclic_rows(np.eye(1 << N), N, N) @ g @ c @ g.conj().T
         assert np.abs(got - baker_composed(N, n)).max() < 1e-13
         state = random_state(N, rng)
         assert np.abs(_slot_one_mix(state, n).amps - c @ state.amps).max() < 1e-15
@@ -267,6 +279,21 @@ def test_gate_validation():
         Gate(kind="global_phase", targets=(), angle=0.5)  # the phase lives in a gate
     with pytest.raises(ValueError):
         GateList(N=1, gates=(Gate.swap(1, 2),))  # target beyond N
+    for angle in ("x", "0.5", float("nan"), float("inf"), -float("inf"), True, 1j):
+        with pytest.raises(ValueError, match="gate angle must be a finite number"):
+            Gate(kind="controlled_phase", targets=(1, 2), angle=angle)
+    with pytest.raises(ValueError, match="gate angle must be a finite number"):
+        Gate.controlled_phase(1, 2, float("nan"))
+    unused = [
+        dict(kind="swap", targets=(1, 2), matrix=np.eye(2)),
+        dict(kind="swap", targets=(1, 2), angle=0.5),
+        dict(kind="single_qubit", targets=(1,), matrix=np.eye(2), angle=0.5),
+        dict(kind="controlled_phase", targets=(1, 2), matrix=np.eye(2), angle=0.5),
+    ]
+    for fields in unused:
+        with pytest.raises(ValueError, match="gate takes no"):
+            Gate(**fields)
+    assert type(Gate.controlled_phase(1, 2, np.float32(0.5)).angle) is float
 
 
 def test_gate_list_qubit_count_is_a_plain_int():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from qbaker import qfourier
-from qbaker.bakermap import apply_baker_fast
+from qbaker.analysis import eigenphases
+from qbaker.bakermap import Gate, apply_baker_fast
 from qbaker.lattice import DotLabel, iter_labels
 from qbaker.qfourier import (
     StateVector,
@@ -117,6 +118,20 @@ def test_kernel_phases_are_exact_residues():
     # only exact phase residues reach this bound: phases from the float
     # product (x+1/2)(a+1/2)/M give a defect of 7.6e-14 at this size
     assert unitarity_defect(antiperiodic_dft(1 << 10)) <= 1e-15
+
+
+NAN_MATRIX = np.array([[np.nan, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "check",
+    [lambda: Gate.single_qubit(1, NAN_MATRIX), lambda: eigenphases(NAN_MATRIX)],
+    ids=["gate", "eigenphases"],
+)
+def test_unitarity_check_rejects_a_nan_defect(check):
+    # a NaN defect compares False against any tolerance, so it must fail
+    with pytest.raises(ValueError, match="not unitary: defect nan"):
+        check()
 
 
 @pytest.mark.parametrize("M", [0, 3, 6, -4])

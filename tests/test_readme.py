@@ -3,6 +3,8 @@ import io
 import re
 from pathlib import Path
 
+import qbaker
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -16,3 +18,9 @@ def test_readme_quick_start_runs():
         exec(compile(block, str(README), "exec"), {})
     overlap = float(out.getvalue().splitlines()[0])
     assert abs(overlap - 1.0) < 1e-12
+
+
+def test_every_export_resolves():
+    """Each name in `qbaker.__all__` is an attribute of the package, so a
+    removed function cannot stay listed."""
+    assert [name for name in qbaker.__all__ if not hasattr(qbaker, name)] == []
